@@ -115,7 +115,11 @@ def smoothing_rhs(f: Callable[[float], complex], g: Callable[[float], complex],
     return SmoothingReport(integral, dt_term, T, integral + dt_term, err)
 
 
-def _base_dist(base: Union[DiscreteDist, CharSpec]) -> DiscreteDist:
+def base_dist(base: Union[DiscreteDist, CharSpec]) -> DiscreteDist:
+    """The step distribution of a base spec; a distribution passes through.
+
+    ``prod:`` with no steps is the unit Bernoulli on {-1, +1}.
+    """
     if isinstance(base, DiscreteDist):
         return base
     if base.form == "product":
@@ -146,7 +150,7 @@ def lemma21_rhs(base: Union[DiscreteDist, CharSpec], n: int,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    m = moments(_base_dist(base))
+    m = moments(base_dist(base))
     sigma = math.sqrt(m.sigma2)
     t_lo = sigma / math.sqrt(m.beta4)
     if T < t_lo:

@@ -12,13 +12,12 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, bounds, charfn, distkit, rates
+from . import __version__, bounds, charfn, rates
 from .charfn import CharSpec
 from .dioph import AlphaSpec
 from .distkit import kolmogorov_distance, moments, zn_dist
@@ -39,22 +38,13 @@ def _fmt(x: float) -> str:
 def _config_hash(args: argparse.Namespace) -> str:
     # the hash covers the scientific configuration only, so identical runs
     # sent to different destinations produce identical headers
-    skip = {"func", "out", "infile", "threads"}
+    skip = {"func", "out", "infile"}
     items = [(k, v) for k, v in sorted(vars(args).items()) if k not in skip]
     return hashlib.sha256(repr(items).encode()).hexdigest()[:12]
 
 
 def _header_line(args: argparse.Namespace) -> str:
     return f"# config={_config_hash(args)} cltdioph={__version__}"
-
-
-def _base_dist(text: str):
-    spec = CharSpec.parse(text)
-    if spec.form == "product":
-        if not spec.alphas:
-            return distkit.bernoulli_pm(1)
-        return distkit.product_bernoulli(spec.alphas)
-    return distkit.mixture_bernoulli(spec.weights, spec.alphas)
 
 
 def _comparison(target: str, base, n: int):
@@ -75,7 +65,7 @@ def _n_list(text: str) -> list[int]:
 def cmd_delta(args) -> int:
     if args.n < 1:
         raise ValueError("n must be >= 1")
-    base = _base_dist(args.base)
+    base = bounds.base_dist(CharSpec.parse(args.base))
     z = zn_dist(base, args.n)
     res = kolmogorov_distance(z, _comparison(args.target, base, args.n))
     print(f"{args.n} {_fmt(res.delta)} {_fmt(res.argmax)} {res.side}")
@@ -88,7 +78,7 @@ def cmd_delta(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    base = _base_dist(args.base)
+    base = bounds.base_dist(CharSpec.parse(args.base))
     ns = _n_list(args.n)
     sweep = rates.delta_sweep(base, ns, base_label=args.base)
     out_dir = Path(args.out)
@@ -96,12 +86,7 @@ def cmd_sweep(args) -> int:
     path = out_dir / "sweep.csv"
     with open(path, "w", newline="") as fh:
         fh.write(_header_line(args) + "\n")
-        w = csv.writer(fh)
-        w.writerow(["n", "delta_phi", "delta_phi3", "argmax", "seconds"])
-        for r in sweep.rows:
-            w.writerow([r.n, _fmt(r.delta_phi),
-                        "" if r.delta_phi3 is None else _fmt(r.delta_phi3),
-                        _fmt(r.argmax), f"{r.seconds:.3f}"])
+        sweep.write_csv(fh)
     for r in sweep.rows:
         print(f"{r.n} {_fmt(r.delta_phi)}")
     print(f"wrote {path}")
@@ -164,7 +149,7 @@ def cmd_cf(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    base = _base_dist(args.base)
+    base = bounds.base_dist(CharSpec.parse(args.base))
     normal = NormalComparison()
     records = []
     for n in _n_list(args.n):
@@ -185,9 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cltdioph",
         description="exact CLT-rate and Diophantine-approximation pipelines")
-    parser.add_argument("--threads", type=int,
-                        default=os.cpu_count() or 1,
-                        help="worker threads for sweep-style commands")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("delta", help="one-shot Kolmogorov distance")

@@ -1,21 +1,24 @@
 """Finitely supported distributions and exact Kolmogorov distances.
 
-A DiscreteDist is an immutable sorted atom/weight table.  Distributions
-built from symmetric +/-1 factors coupled by irrational coefficients carry
-a lattice tag (integer coordinates against the coefficient vector
-(1, alpha_1, ..., alpha_m)); the tag guarantees collision-free merging and
-unlocks the product-of-binomials fast path for Z_n.
+A DiscreteDist is an immutable sorted atom/weight table.  Products and
+mixtures of symmetric Bernoulli steps (``product_bernoulli``,
+``mixture_bernoulli``) carry a lattice tag: integer coordinates against the
+coefficient vector (1, alpha_1, ..., alpha_m), so atoms that coincide merge
+exactly and distinct atoms cannot silently collide.  For these bases
+``zn_dist`` builds Z_n with one lattice builder, on integer coordinates
+from exact binomial rows, for products, mixtures and rational step heights
+alike; every other base goes through convolution powers.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .dioph import AlphaSpec
 from .errors import PrecisionExhausted, SupportOverflow
@@ -45,8 +48,18 @@ class LatticeTag:
                 and all(a.text == b.text for a, b in zip(self.alphas, other.alphas)))
 
 
+class _Steps(NamedTuple):
+    """The Bernoulli steps a product or mixture base was built from."""
+
+    alphas: tuple[AlphaSpec, ...]
+    mix: Optional[tuple[float, ...]]  # mixture weights p_0..p_m; None: product
+
+
 class DiscreteDist:
     """Sorted finitely supported probability measure."""
+
+    #: set by product_bernoulli / mixture_bernoulli, for zn_dist
+    _steps: Optional[_Steps] = None
 
     def __init__(self, positions: np.ndarray, weights: np.ndarray,
                  lattice: Optional[LatticeTag] = None, _trusted: bool = False):
@@ -169,16 +182,7 @@ def bernoulli_pm(scale) -> DiscreteDist:
 
 def product_bernoulli(alphas: Sequence[AlphaSpec]) -> DiscreteDist:
     """B_1 * B_{alpha_1} * ... * B_{alpha_m} with a lattice tag."""
-    alphas = tuple(alphas)
-    vals = np.array([1.0] + [a.to_float() for a in alphas])
-    m = len(alphas)
-    grids = np.meshgrid(*([np.array([-1, 1], dtype=np.int64)] * (m + 1)),
-                        indexing="ij")
-    coords = np.stack([g.ravel() for g in grids], axis=1)
-    positions = coords @ vals
-    weights = np.full(coords.shape[0], 0.5 ** (m + 1))
-    tag = LatticeTag(alphas, coords)
-    return DiscreteDist(positions, weights, lattice=tag)
+    return _bernoulli_base(_Steps(tuple(alphas), None))
 
 
 def mixture_bernoulli(weights: Sequence[float],
@@ -189,20 +193,14 @@ def mixture_bernoulli(weights: Sequence[float],
         raise ValueError("need one weight per component (leading B_1 included)")
     if any(p <= 0 for p in weights) or abs(sum(weights) - 1.0) > _MASS_TOL:
         raise ValueError("mixture weights must be positive and sum to 1")
-    vals = np.array([1.0] + [a.to_float() for a in alphas])
-    m = len(alphas)
-    coords = []
-    w = []
-    for k, p in enumerate(weights):
-        for sgn in (-1, 1):
-            row = np.zeros(m + 1, dtype=np.int64)
-            row[k] = sgn
-            coords.append(row)
-            w.append(p / 2.0)
-    coords = np.array(coords, dtype=np.int64)
-    positions = coords @ vals
-    tag = LatticeTag(alphas, coords)
-    return DiscreteDist(positions, np.array(w), lattice=tag)
+    return _bernoulli_base(_Steps(alphas, tuple(float(p) for p in weights)))
+
+
+def _bernoulli_base(steps: _Steps) -> DiscreteDist:
+    # one step is Z_1 before normalization
+    base = _lattice_zn(steps, 1, 1.0)
+    base._steps = steps
+    return base
 
 
 def mixture(components: Sequence[tuple[float, DiscreteDist]]) -> DiscreteDist:
@@ -241,51 +239,35 @@ def convolve(d1: DiscreteDist, d2: DiscreteDist,
         c1, c2 = d1.lattice.coords, d2.lattice.coords
         coords = (c1[:, None, :] + c2[None, :, :]).reshape(k, c1.shape[1])
         lattice = LatticeTag(d1.lattice.alphas, coords, d1.lattice.scale)
-    if lattice is not None:
-        # exact merge on integer tuples, then order by position
-        positions, weights, lattice = _merge_lattice_exact(positions, weights,
-                                                           lattice)
-        return DiscreteDist(positions, weights, lattice=lattice)
-    return DiscreteDist(positions, weights)
+    return DiscreteDist(positions, weights, lattice=lattice)
 
 
-def _merge_lattice_exact(positions, weights, lattice):
-    coords = lattice.coords
-    keys = np.ascontiguousarray(coords).view(
-        np.dtype((np.void, coords.dtype.itemsize * coords.shape[1])))
-    _, idx, inv = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-    merged_w = np.zeros(idx.size)
-    np.add.at(merged_w, inv, weights)
-    merged_x = positions[idx]
-    merged_c = coords[idx]
-    order = np.argsort(merged_x, kind="stable")
-    return (merged_x[order], merged_w[order],
-            LatticeTag(lattice.alphas, merged_c[order], lattice.scale))
-
-
-def _binom_weights(n: int) -> np.ndarray:
-    """P{S = -n + 2k}, k = 0..n, for a sum of n +/-1 coin flips.
+def _binom_row(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """P{S = s} for a sum S of n +/-1 coin flips, and the support s.
 
     Each weight is the correctly rounded double of the exact rational
     C(n,k)/2^n, so the total mass error stays at one ulp regardless of n
-    (far tighter than log-space evaluation).
+    (far tighter than log-space evaluation): the coefficients come from
+    the exact integer recurrence C(n,k+1) = C(n,k)(n-k)/(k+1), and int
+    true division rounds correctly.  Tails that underflow to 0.0 are cut.
     """
     denom = 1 << n
-    return np.array([float(Fraction(math.comb(n, k), denom))
-                     for k in range(n + 1)])
-
-
-def _is_product_tag(tag: LatticeTag) -> bool:
-    """True when every atom is a full sign vector (product-of-Bernoullis base)."""
-    return bool(np.all(np.abs(tag.coords) == 1))
+    row = np.empty(n + 1)
+    c = 1
+    for k in range(n // 2 + 1):
+        row[k] = row[n - k] = c / denom
+        c = c * (n - k) // (k + 1)
+    lo = int(np.argmax(row > 0.0))
+    support = np.arange(-n + 2 * lo, n - 2 * lo + 1, 2, dtype=np.int64)
+    return row[lo:n + 1 - lo], support
 
 
 def zn_dist(base: DiscreteDist, n: int, atom_cap: int = ATOM_CAP) -> DiscreteDist:
     """Distribution of Z_n = (X_1 + ... + X_n) / (sigma sqrt(n)).
 
-    Product-of-Bernoullis bases (lattice tag with full +/-1 coordinate
-    vectors) use the exact product-of-binomials fast path; everything else
-    goes through iterated convolution by binary powering.
+    Bases built by product_bernoulli / mixture_bernoulli go through the
+    lattice builder; everything else goes through iterated convolution by
+    binary powering.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -293,10 +275,8 @@ def zn_dist(base: DiscreteDist, n: int, atom_cap: int = ATOM_CAP) -> DiscreteDis
     if mom.sigma2 <= 0:
         raise ValueError("base distribution is degenerate")
     scale = 1.0 / (math.sqrt(mom.sigma2) * math.sqrt(n))
-
-    tag = base.lattice
-    if tag is not None and _is_product_tag(tag) and len(base) == 2 ** (tag.m + 1):
-        return _zn_product(tag.alphas, n, scale, atom_cap)
+    if base._steps is not None:
+        return _lattice_zn(base._steps, n, scale, atom_cap)
 
     # binary powering on the raw sum, rescale once at the end
     result: Optional[DiscreteDist] = None
@@ -309,33 +289,105 @@ def zn_dist(base: DiscreteDist, n: int, atom_cap: int = ATOM_CAP) -> DiscreteDis
         if k:
             power = convolve(power, power, atom_cap)
     assert result is not None
-    lattice = None
-    if result.lattice is not None:
-        lattice = LatticeTag(result.lattice.alphas, result.lattice.coords,
-                             result.lattice.scale * scale)
-    return DiscreteDist(result.positions * scale, result.weights,
-                        lattice=lattice, _trusted=True)
+    return DiscreteDist(result.positions * scale, result.weights, _trusted=True)
 
 
-def _zn_product(alphas: tuple[AlphaSpec, ...], n: int, scale: float,
-                atom_cap: int) -> DiscreteDist:
-    """Exact Z_n for B_1 * B_alpha_1 * ... * B_alpha_m via binomial marginals."""
-    m = len(alphas)
-    if (n + 1) ** (m + 1) > atom_cap:
+def _lattice_zn(steps: _Steps, n: int, scale: float,
+                atom_cap: int = ATOM_CAP) -> DiscreteDist:
+    """Z_n of Bernoulli steps, with positions multiplied by ``scale``.
+
+    The weights live on the integer coordinates (c_0, ..., c_m) of the raw
+    sum against (1, alpha_1, ..., alpha_m).  A product's grid is the outer
+    product of m + 1 binomial n-rows.  A mixture's is the sum, over the
+    component counts (k_0, ..., k_m) adding up to n, of their multinomial
+    probability times the outer product of the k_j-rows.
+    """
+    m = len(steps.alphas)
+    if steps.mix is None:
+        row, support = _binom_row(n)
+    else:
+        support = np.arange(-n, n + 1, dtype=np.int64)
+    if support.size ** (m + 1) > atom_cap:
         raise SupportOverflow(
-            f"Z_n support (n+1)^{m + 1} = {(n + 1) ** (m + 1)} exceeds cap {atom_cap}")
-    vals = [1.0] + [a.to_float() for a in alphas]
-    support = np.arange(-n, n + 1, 2, dtype=np.int64)
-    wb = _binom_weights(n)
-    coords_grids = np.meshgrid(*([support] * (m + 1)), indexing="ij")
-    coords = np.stack([g.ravel() for g in coords_grids], axis=1)
-    weights = np.ones(1)
-    for _ in range(m + 1):
-        weights = np.multiply.outer(weights, wb)
-    weights = weights.ravel()
-    positions = (coords @ np.array(vals)) * scale
-    tag = LatticeTag(alphas, coords, scale)
-    return DiscreteDist(positions, weights, lattice=tag)
+            f"Z_n grid {support.size}^{m + 1} exceeds cap {atom_cap}")
+    if steps.mix is None:
+        grid = row
+        for _ in range(m):
+            grid = np.multiply.outer(grid, row)
+    else:
+        # mixture weights over a common denominator: normalized exactly,
+        # although the floats p_j need not add up to exactly 1
+        common = math.lcm(*(Fraction(p).denominator for p in steps.mix))
+        ints = [int(Fraction(p) * common) for p in steps.mix]
+        total = sum(ints) ** n
+        grid = np.zeros((support.size,) * (m + 1))
+        rows = [_binom_row(k) for k in range(n + 1)]
+        for counts in _compositions(n, m + 1):
+            block = _multinomial(counts, ints) / total
+            cells = []
+            for k in counts:
+                row, at = rows[k]
+                block = np.multiply.outer(block, row)
+                cells.append(slice(at[0] + n, at[-1] + n + 1, 2))
+            grid[tuple(cells)] += block
+    # cells of weight 0.0 (unreachable or underflowed) are dropped by
+    # DiscreteDist
+    return _lattice_dist(steps.alphas, np.ix_(*([support] * (m + 1))), grid,
+                         scale, n)
+
+
+def _compositions(n: int, parts: int):
+    """Every tuple of ``parts`` nonnegative integers that add up to n."""
+    for bars in itertools.combinations(range(n + parts - 1), parts - 1):
+        edges = (-1,) + bars + (n + parts - 1,)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
+def _multinomial(counts, weights) -> int:
+    """n!/(k_0! ... k_m!) * w_0^k_0 ... w_m^k_m for integer weights w_j."""
+    num, total = 1, 0
+    for k, w in zip(counts, weights):
+        total += k
+        num *= math.comb(total, k) * w ** k
+    return num
+
+
+def _lattice_dist(alphas, cols, weights, scale, n) -> DiscreteDist:
+    """The distribution with atoms at (c_0 + sum_j c_j alpha_j) * scale.
+
+    ``weights`` is a grid and ``cols`` holds the integer coordinates
+    c_0, ..., c_m broadcast against it, of a sum of n steps (|c_j| <= n).
+    Rational alphas fold into the unit coordinate over their common
+    denominator q; the other coordinates are multiplied by q and the scale
+    is divided by it.  When only the unit coordinate is left, atoms merge
+    on it in one integer sort, which also orders them by position.
+    """
+    fracs = [a.exact_fraction() if a.is_rational else None for a in alphas]
+    if any(f is not None for f in fracs):
+        q = math.lcm(*(f.denominator for f in fracs if f is not None))
+        fold = [q] + [0 if f is None else int(q * f) for f in fracs]
+        if n * sum(map(abs, fold)) >= 1 << 62:
+            raise SupportOverflow(
+                f"rational steps over denominator {q} overflow the lattice")
+        unit = sum(h * c for h, c in zip(fold, cols) if h)
+        cols = [unit] + [q * c for c, f in zip(cols[1:], fracs) if f is None]
+        alphas = tuple(a for a in alphas if not a.is_rational)
+        scale = scale / q
+    if alphas:
+        coords = np.stack(np.broadcast_arrays(weights, *cols)[1:], axis=-1)
+        coords, weights = coords.reshape(-1, len(cols)), weights.ravel()
+        vals = np.array([1.0] + [a.to_float() for a in alphas])
+        positions = (coords @ vals) * scale
+    else:
+        unit = np.broadcast_to(cols[0], weights.shape).ravel()
+        order = np.argsort(unit, kind="stable")
+        unit, weights = unit[order], weights.ravel()[order]
+        first = np.flatnonzero(np.diff(unit, prepend=unit[0] - 1))
+        coords, weights = unit[first, None], np.add.reduceat(weights, first)
+        positions = coords[:, 0] * scale
+    return DiscreteDist(positions, weights,
+                        lattice=LatticeTag(alphas, coords, scale),
+                        _trusted=not alphas)
 
 
 def zn_dist_exact(alphas: Sequence[AlphaSpec], n: int) -> dict[tuple[int, ...], Fraction]:
@@ -360,14 +412,6 @@ def zn_dist_exact(alphas: Sequence[AlphaSpec], n: int) -> dict[tuple[int, ...], 
 
     rec((), Fraction(1), 0)
     return out
-
-
-def cdf(d: DiscreteDist, x: float) -> float:
-    return d.cdf(x)
-
-
-def cdf_left(d: DiscreteDist, x: float) -> float:
-    return d.cdf_left(x)
 
 
 # ---------------------------------------------------------------------------

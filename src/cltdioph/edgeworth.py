@@ -183,9 +183,6 @@ class NormalComparison:
     def stationary_points(self):
         return []
 
-    def deriv_sup(self) -> float:
-        return 1.0 / SQRT_TWO_PI
-
 
 class EdgeworthComparison:
     """Third-order corrected CDF Phi3 as a comparison function."""
@@ -205,12 +202,6 @@ class EdgeworthComparison:
 
     def stationary_points(self):
         return phi3_stationary_points(self.params)
-
-    def deriv_sup(self) -> float:
-        # |Phi3'| <= phi(x) (1 + |a| max|x^3-3x| near the density bulk);
-        # a coarse certified bound via a grid plus the analytic envelope
-        xs = np.linspace(-8.0, 8.0, 4001)
-        return float(np.max(np.abs(self.derivative(xs))))
 
 
 def comparison_for(target: str, params: Optional[EdgeworthParams] = None):

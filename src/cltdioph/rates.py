@@ -11,15 +11,14 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
-from fractions import Fraction
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from .dioph import AlphaSpec
-from .distkit import DiscreteDist, _binom_weights, kolmogorov_distance, \
-    moments, product_bernoulli, zn_dist
+from .distkit import DiscreteDist, kolmogorov_distance, moments, \
+    product_bernoulli, zn_dist
 from .edgeworth import EdgeworthComparison, EdgeworthParams, NormalComparison
 from .errors import TooFewPoints
 
@@ -58,15 +57,20 @@ class SweepResult:
                 "alpha3": self.alpha3, "beta4": self.beta4,
                 "rows": [r.to_dict() for r in self.rows]}
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "delta_phi", "delta_phi3", "argmax", "seconds"])
-            for r in self.rows:
-                w.writerow([r.n, f"{r.delta_phi:.17g}",
-                            "" if r.delta_phi3 is None
-                            else f"{r.delta_phi3:.17g}",
-                            f"{r.argmax:.17g}", f"{r.seconds:.3f}"])
+    def write_csv(self, out) -> None:
+        """Write the rows as CSV to a path, or to an open text file after
+        whatever the caller wrote there first."""
+        if not hasattr(out, "write"):
+            with open(out, "w", newline="") as fh:
+                self.write_csv(fh)
+            return
+        w = csv.writer(out)
+        w.writerow(["n", "delta_phi", "delta_phi3", "argmax", "seconds"])
+        for r in self.rows:
+            w.writerow([r.n, f"{r.delta_phi:.17g}",
+                        "" if r.delta_phi3 is None
+                        else f"{r.delta_phi3:.17g}",
+                        f"{r.argmax:.17g}", f"{r.seconds:.3f}"])
 
 
 @dataclass(frozen=True)
@@ -110,12 +114,22 @@ def delta_sweep(base: DiscreteDist, n_list, base_label: str = "",
                        sigma2=m.sigma2, alpha3=m.alpha3, beta4=m.beta4)
 
 
-def _fit(ns, deltas, eta_hint: Optional[float]) -> RateFit:
+def _fit(ns, deltas, eta_hint: Optional[float] = None,
+         logpow: bool = True) -> RateFit:
+    """Least-squares fit of log delta on log n, with a log log n column
+    when ``logpow``.
+
+    The discrepancy pipeline fits without that column: its values
+    fluctuate with the continued-fraction phase of n, and a joint
+    (log n, log log n) fit is too ill conditioned there to report a
+    meaningful exponent.
+    """
     if len(ns) < 5:
         raise TooFewPoints(f"rate fit needs >= 5 points, got {len(ns)}")
     ln = np.log(np.asarray(ns, dtype=float))
     y = np.log(np.asarray(deltas, dtype=float))
-    design = np.column_stack([np.ones_like(ln), ln, np.log(ln)])
+    columns = [np.ones_like(ln), ln] + ([np.log(ln)] if logpow else [])
+    design = np.column_stack(columns)
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
@@ -129,7 +143,8 @@ def _fit(ns, deltas, eta_hint: Optional[float]) -> RateFit:
         qdesign = np.column_stack([np.ones_like(ln), np.log(ln)])
         qcoef, *_ = np.linalg.lstsq(qdesign, pinned, rcond=None)
         c_logpow = float(qcoef[1])
-    return RateFit(exponent=float(coef[1]), logpow=float(coef[2]), r2=r2,
+    return RateFit(exponent=float(coef[1]),
+                   logpow=float(coef[2]) if logpow else 0.0, r2=r2,
                    window=(int(min(ns)), int(max(ns))),
                    constrained_exponent=c_exp, constrained_logpow=c_logpow)
 
@@ -157,34 +172,12 @@ def avg_delta(n: int, grid_size: int) -> tuple[float, float]:
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
     normal = NormalComparison()
-    w = np.array(_binom_weights(n))
-    idx = np.arange(-n, n + 1, 2, dtype=np.int64)
-    weights_grid = np.multiply.outer(w, w).ravel()
     total = 0.0
     for i in range(grid_size):
-        total += _rational_grid_delta(2 * i + 1, 2 * grid_size, n,
-                                      idx, weights_grid, normal)
+        base = product_bernoulli([AlphaSpec.rational(2 * i + 1, 2 * grid_size)])
+        total += kolmogorov_distance(zn_dist(base, n), normal).delta
     average = total / grid_size
     return average, average * n / math.log(n + 1.0)
-
-
-def _rational_grid_delta(num: int, den: int, n: int, idx, weights_grid,
-                         normal) -> float:
-    """Delta_n for the base with atoms +/-1 +/- num/den.
-
-    Atom positions live on the lattice Z/den, so collisions are merged by
-    exact integer key before building the distribution.
-    """
-    keys = np.add.outer(idx * den, idx * num).ravel()
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    weights = weights_grid[order]
-    uniq, start = np.unique(keys, return_index=True)
-    merged = np.add.reduceat(weights, start)
-    sigma2 = 1.0 + (num / den) ** 2
-    positions = uniq / den / math.sqrt(sigma2 * n)
-    z = DiscreteDist(positions, merged, _trusted=True)
-    return kolmogorov_distance(z, normal).delta
 
 
 def star_discrepancy(alpha: AlphaSpec, n: int) -> float:
@@ -220,26 +213,6 @@ class ComparisonReport:
                 "dstar_rows": list(map(list, self.dstar_rows))}
 
 
-def _fit_simple(ns, deltas) -> RateFit:
-    """Plain log-log slope with no log-power regressor.
-
-    Used for the discrepancy pipeline: its values fluctuate with the
-    continued-fraction phase of n, and a joint (log n, log log n) fit is
-    too ill conditioned there to report a meaningful exponent.
-    """
-    if len(ns) < 5:
-        raise TooFewPoints(f"rate fit needs >= 5 points, got {len(ns)}")
-    ln = np.log(np.asarray(ns, dtype=float))
-    y = np.log(np.asarray(deltas, dtype=float))
-    design = np.column_stack([np.ones_like(ln), ln])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    return RateFit(exponent=float(coef[1]), logpow=0.0, r2=r2,
-                   window=(int(min(ns)), int(max(ns))))
-
-
 def compare_16_vs_17(alpha: AlphaSpec, n_list_delta,
                      n_list_dstar=None) -> ComparisonReport:
     """Side-by-side rate fits for the CLT distance and the star
@@ -255,8 +228,8 @@ def compare_16_vs_17(alpha: AlphaSpec, n_list_delta,
     return ComparisonReport(
         alpha=str(alpha),
         delta_fit=rate_fit(sweep),
-        dstar_fit=_fit_simple([n for n, _ in dstar_rows],
-                              [d for _, d in dstar_rows]),
+        dstar_fit=_fit([n for n, _ in dstar_rows],
+                       [d for _, d in dstar_rows], logpow=False),
         delta_rows=delta_rows,
         dstar_rows=dstar_rows,
     )

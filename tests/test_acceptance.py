@@ -186,7 +186,7 @@ def test_criterion_07_average_over_alpha():
 
 def test_criterion_08_discrepancy_pipeline():
     ns = [2 ** k for k in range(4, 15)]
-    fit = R._fit_simple(ns, [R.star_discrepancy(SQRT2, n) for n in ns])
+    fit = R._fit(ns, [R.star_discrepancy(SQRT2, n) for n in ns], logpow=False)
     rep = R.compare_16_vs_17(SQRT2,
                              [2 ** k for k in range(4, 12)],
                              ns)

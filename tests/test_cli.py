@@ -39,6 +39,18 @@ class TestDelta:
         assert payload["side"] in ("left", "right")
         assert len(payload["config"]) == 12
 
+    def test_mixture_n256(self, capsys):
+        code, out, _ = run(capsys, "delta", "--base",
+                           "mix:0.5:surd:0,1,1,2=0.5", "--n", "256")
+        assert code == 0
+        assert 0.0 < float(out.split()[1]) < 0.01
+
+    def test_rational_step(self, capsys):
+        code, out, _ = run(capsys, "delta", "--base", "prod:rat:1/3",
+                           "--n", "64")
+        assert code == 0
+        assert 0.0 < float(out.split()[1]) < 0.1
+
     def test_config_error(self, capsys):
         code, _, err = run(capsys, "delta", "--base", "bogus", "--n", "4")
         assert code == 2

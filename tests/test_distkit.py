@@ -163,6 +163,70 @@ class TestZnDist:
         with pytest.raises(SupportOverflow):
             K.zn_dist(K.product_bernoulli([SQRT2]), 100, atom_cap=1000)
 
+    @pytest.mark.parametrize("n", [1, 60, 1100, 4096])
+    def test_binomial_rows_correctly_rounded(self, n):
+        # n = 1100 and 4096 have tails that underflow to 0.0
+        want = [float(Fraction(math.comb(n, k), 2 ** n)) for k in range(n + 1)]
+        row, support = K._binom_row(n)
+        full = np.zeros(n + 1)
+        full[(support + n) // 2] = row
+        assert full.tolist() == want
+        assert np.all(row > 0.0)
+
+    def test_mixture_weights_against_fraction_convolution(self):
+        # the doubles 0.3 and 0.7 add up to 1 - 2^-54 exactly; the mixture
+        # is their normalization
+        p, n = (0.3, 0.7), 24
+        p0, p1 = (Fraction(x) / (Fraction(p[0]) + Fraction(p[1])) for x in p)
+        step = {(-1, 0): p0 / 2, (1, 0): p0 / 2, (0, -1): p1 / 2, (0, 1): p1 / 2}
+        exact = {(0, 0): Fraction(1)}
+        for _ in range(n):
+            nxt: dict = {}
+            for (a, b), w in exact.items():
+                for (da, db), v in step.items():
+                    key = (a + da, b + db)
+                    nxt[key] = nxt.get(key, 0) + w * v
+            exact = nxt
+        z = K.zn_dist(K.mixture_bernoulli(p, [SQRT2]), n)
+        got = {tuple(map(int, row)): w
+               for row, w in zip(z.lattice.coords, z.weights)}
+        assert set(got) == set(exact)
+        err = max(abs(Fraction(got[key]) - w) / w for key, w in exact.items())
+        assert err <= 1e-15
+
+    @pytest.mark.parametrize("alpha, atoms", [("rat:1/3", [-4, -2, 2, 4]),
+                                              ("rat:1/1", [-6, 0, 0, 6])])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_rational_step_matches_untagged_pipeline(self, alpha, atoms, n):
+        # rational steps fold into the unit coordinate; the reference is the
+        # tolerance-merging convolution of the same atoms without a tag
+        z = K.zn_dist(K.product_bernoulli([AlphaSpec.parse(alpha)]), n)
+        plain = K.DiscreteDist(np.array(atoms) / 3, np.full(4, 0.25))
+        ref = K.zn_dist(plain, n)
+        assert len(z) == len(ref)
+        assert np.max(np.abs(z.positions - ref.positions)) < 1e-12
+        assert np.max(np.abs(z.weights - ref.weights) / ref.weights) < 1e-12
+        assert abs(K.kolmogorov_distance(z, PhiFn()).delta
+                   - K.kolmogorov_distance(ref, PhiFn()).delta) < 1e-12
+
+    def test_hand_tagged_base_is_convolved(self):
+        # sign-vector atoms with unequal weights are not B_1 * B_sqrt2: the
+        # tag alone must not send them down the product builder
+        coords = np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]])
+        positions = coords @ np.array([1.0, math.sqrt(2)])
+        weights = np.array([0.1, 0.2, 0.3, 0.4])
+        tagged = K.DiscreteDist(positions, weights,
+                                lattice=K.LatticeTag((SQRT2,), coords))
+        plain = K.DiscreteDist(positions, weights)
+        for n in (1, 3):
+            zt, zp = K.zn_dist(tagged, n), K.zn_dist(plain, n)
+            assert np.array_equal(zt.positions, zp.positions)
+            assert np.array_equal(zt.weights, zp.weights)
+        z1 = K.zn_dist(tagged, 1)
+        assert K.kolmogorov_distance(z1, PhiFn()).delta \
+            == pytest.approx(0.335, abs=1e-3)
+        assert K.moments(z1).mean == pytest.approx(0.429, abs=1e-3)
+
 
 class TestMoments:
     def test_b1(self):
@@ -194,14 +258,14 @@ class TestMoments:
 class TestCdf:
     def test_jump_semantics(self):
         b = K.bernoulli_pm(1)
-        assert K.cdf(b, 0.0) == 0.5
-        assert K.cdf(b, 1.0) == 1.0
-        assert K.cdf_left(b, 1.0) == 0.5
-        assert K.cdf(b, -2.0) == 0.0
+        assert b.cdf(0.0) == 0.5
+        assert b.cdf(1.0) == 1.0
+        assert b.cdf_left(1.0) == 0.5
+        assert b.cdf(-2.0) == 0.0
 
     def test_product_half_at_zero(self):
         d = K.convolve(K.bernoulli_pm(1), K.bernoulli_pm(SQRT2))
-        assert K.cdf(d, 0.0) == 0.5
+        assert d.cdf(0.0) == 0.5
 
 
 class TestKolmogorovDistance:
