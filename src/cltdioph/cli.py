@@ -71,7 +71,8 @@ def cmd_delta(args) -> int:
     print(f"{args.n} {_fmt(res.delta)} {_fmt(res.argmax)} {res.side}")
     if args.out:
         payload = {"n": args.n, "delta": res.delta, "argmax": res.argmax,
-                   "side": res.side, "target": args.target,
+                   "side": res.side, "error_bound": res.error_bound,
+                   "target": args.target,
                    "base": args.base, "config": _config_hash(args)}
         Path(args.out).write_text(json.dumps(payload, indent=1) + "\n")
     return EXIT_OK

@@ -7,13 +7,16 @@ coefficient vector (1, alpha_1, ..., alpha_m), so atoms that coincide merge
 exactly and distinct atoms cannot silently collide.  For these bases
 ``zn_dist`` builds Z_n with one lattice builder, on integer coordinates
 from exact binomial rows, for products, mixtures and rational step heights
-alike; every other base goes through convolution powers.
+alike; every other base goes through convolution powers.  The binomial
+rows are cut to a Hoeffding window, and a bound on the mass they leave
+out is carried to ``KolmogorovResult.error_bound``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -25,6 +28,9 @@ from .errors import PrecisionExhausted, SupportOverflow
 
 #: default atom-count ceiling for convolutions (desk-scale memory cap)
 ATOM_CAP = 30_000_000
+
+#: probability mass a binomial row may leave out of its Hoeffding window
+TAIL_EPS = 2.0 ** -64
 
 _MASS_TOL = 2.0 ** -45
 _MERGE_TOL = 1e-12
@@ -60,6 +66,10 @@ class DiscreteDist:
 
     #: set by product_bernoulli / mixture_bernoulli, for zn_dist
     _steps: Optional[_Steps] = None
+    #: upper bound on the probability mass the lattice builder left out of
+    #: Z_n (the weights sum to 1 minus at most this); 0.0 for every other
+    #: constructor
+    tail_mass: float = 0.0
 
     def __init__(self, positions: np.ndarray, weights: np.ndarray,
                  lattice: Optional[LatticeTag] = None, _trusted: bool = False):
@@ -245,21 +255,27 @@ def convolve(d1: DiscreteDist, d2: DiscreteDist,
 def _binom_row(n: int) -> tuple[np.ndarray, np.ndarray]:
     """P{S = s} for a sum S of n +/-1 coin flips, and the support s.
 
-    Each weight is the correctly rounded double of the exact rational
-    C(n,k)/2^n, so the total mass error stays at one ulp regardless of n
-    (far tighter than log-space evaluation): the coefficients come from
-    the exact integer recurrence C(n,k+1) = C(n,k)(n-k)/(k+1), and int
-    true division rounds correctly.  Tails that underflow to 0.0 are cut.
+    Only the Hoeffding window |s| <= t, t = sqrt(2 n ln(2 / TAIL_EPS)), is
+    kept: P{|S| > t} <= 2 exp(-t^2 / 2n) = TAIL_EPS, so the row leaves out
+    at most TAIL_EPS of its mass (none for n <= 90, where t > n).  Each
+    kept weight is the correctly rounded double of the exact rational
+    C(n,k)/2^n: the coefficients come from the exact integer recurrence
+    C(n,k+1) = C(n,k)(n-k)/(k+1), started at C(n,k0) for the first kept
+    k0, and int true division rounds correctly.  Tails that underflow to
+    0.0 are cut as well.
     """
+    t = math.sqrt(2 * n * math.log(2 / TAIL_EPS))
+    k0 = max(0, math.ceil((n - t) / 2))  # first k with n - 2k <= t
     denom = 1 << n
-    row = np.empty(n + 1)
-    c = 1
-    for k in range(n // 2 + 1):
-        row[k] = row[n - k] = c / denom
+    row = np.empty(n + 1 - 2 * k0)
+    c = math.comb(n, k0)
+    for k in range(k0, n // 2 + 1):
+        row[k - k0] = row[n - k - k0] = c / denom
         c = c * (n - k) // (k + 1)
     lo = int(np.argmax(row > 0.0))
-    support = np.arange(-n + 2 * lo, n - 2 * lo + 1, 2, dtype=np.int64)
-    return row[lo:n + 1 - lo], support
+    edge = n - 2 * (k0 + lo)
+    support = np.arange(-edge, edge + 1, 2, dtype=np.int64)
+    return row[lo:row.size - lo], support
 
 
 def zn_dist(base: DiscreteDist, n: int, atom_cap: int = ATOM_CAP) -> DiscreteDist:
@@ -301,15 +317,23 @@ def _lattice_zn(steps: _Steps, n: int, scale: float,
     product of m + 1 binomial n-rows.  A mixture's is the sum, over the
     component counts (k_0, ..., k_m) adding up to n, of their multinomial
     probability times the outer product of the k_j-rows.
+
+    Each binomial row is cut to its Hoeffding window (``_binom_row``) and
+    leaves out at most TAIL_EPS of its mass.  A product grid is the outer
+    product of m + 1 rows, so by the union bound it leaves out at most
+    (m + 1) * TAIL_EPS; a mixture averages such products, so the same
+    bound holds for it.  That bound is recorded as ``tail_mass``; it is
+    0.0 when the n-row, and so every shorter row, is whole.
     """
     m = len(steps.alphas)
-    if steps.mix is None:
-        row, support = _binom_row(n)
-    else:
+    row, support = _binom_row(n)
+    tail_mass = (m + 1) * TAIL_EPS if support[0] > -n else 0.0
+    if steps.mix is not None:
         support = np.arange(-n, n + 1, dtype=np.int64)
     if support.size ** (m + 1) > atom_cap:
         raise SupportOverflow(
-            f"Z_n grid {support.size}^{m + 1} exceeds cap {atom_cap}")
+            f"Z_n grid for n = {n}, m = {m}: row window {support.size}, "
+            f"{support.size ** (m + 1)} atoms exceed cap {atom_cap}")
     if steps.mix is None:
         grid = row
         for _ in range(m):
@@ -319,11 +343,14 @@ def _lattice_zn(steps: _Steps, n: int, scale: float,
         # although the floats p_j need not add up to exactly 1
         common = math.lcm(*(Fraction(p).denominator for p in steps.mix))
         ints = [int(Fraction(p) * common) for p in steps.mix]
+        powers = [list(itertools.accumulate(itertools.repeat(w, n),
+                                            operator.mul, initial=1))
+                  for w in ints]
         total = sum(ints) ** n
         grid = np.zeros((support.size,) * (m + 1))
         rows = [_binom_row(k) for k in range(n + 1)]
         for counts in _compositions(n, m + 1):
-            block = _multinomial(counts, ints) / total
+            block = _multinomial(counts, powers) / total
             cells = []
             for k in counts:
                 row, at = rows[k]
@@ -332,8 +359,10 @@ def _lattice_zn(steps: _Steps, n: int, scale: float,
             grid[tuple(cells)] += block
     # cells of weight 0.0 (unreachable or underflowed) are dropped by
     # DiscreteDist
-    return _lattice_dist(steps.alphas, np.ix_(*([support] * (m + 1))), grid,
+    dist = _lattice_dist(steps.alphas, np.ix_(*([support] * (m + 1))), grid,
                          scale, n)
+    dist.tail_mass = tail_mass
+    return dist
 
 
 def _compositions(n: int, parts: int):
@@ -343,12 +372,13 @@ def _compositions(n: int, parts: int):
         yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
-def _multinomial(counts, weights) -> int:
-    """n!/(k_0! ... k_m!) * w_0^k_0 ... w_m^k_m for integer weights w_j."""
+def _multinomial(counts, powers) -> int:
+    """n!/(k_0! ... k_m!) * w_0^k_0 ... w_m^k_m for integer weights w_j,
+    given the power tables powers[j][k] = w_j^k."""
     num, total = 1, 0
-    for k, w in zip(counts, weights):
+    for k, pw in zip(counts, powers):
         total += k
-        num *= math.comb(total, k) * w ** k
+        num *= math.comb(total, k) * pw[k]
     return num
 
 
@@ -449,6 +479,7 @@ class KolmogorovResult(NamedTuple):
     delta: float
     argmax: float
     side: str  # "left" or "right"
+    error_bound: float = 0.0  # |delta - exact Delta_n| <= this
 
 
 def kolmogorov_distance(d: DiscreteDist, G) -> KolmogorovResult:
@@ -457,6 +488,14 @@ def kolmogorov_distance(d: DiscreteDist, G) -> KolmogorovResult:
     The sup is attained either one-sided at an atom or at a stationary
     point of G inside a gap of the support (G's monotone tails cannot beat
     the boundary atoms, which are included two-sided).
+
+    ``error_bound`` is tau = ``d.tail_mass``, a bound on the mass the
+    lattice builder left out.  Let F* be the CDF of the untruncated Z_n.
+    F*(x) - F(x) is the omitted mass at or below x, so
+    0 <= F*(x) - F(x) <= tau for every x, and likewise for the left limits
+    F*(x-) - F(x-).  Hence |F*(x) - G(x)| and |F(x) - G(x)| differ by at
+    most tau at every x, and so do their sups: the reported delta is
+    within tau of the exact Delta_n = sup_x |F*(x) - G(x)|.
     """
     x = d.positions
     cum = d._cum
@@ -474,4 +513,4 @@ def kolmogorov_distance(d: DiscreteDist, G) -> KolmogorovResult:
         v = abs(f_val - float(G(s)))
         if v > best.delta:
             best = KolmogorovResult(v, float(s), "right")
-    return best
+    return best._replace(error_bound=d.tail_mass)

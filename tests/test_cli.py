@@ -37,7 +37,24 @@ class TestDelta:
         assert payload["n"] == 4
         assert f"{payload['delta']:.17g}" == out.split()[1]
         assert payload["side"] in ("left", "right")
+        assert payload["error_bound"] == 0.0
         assert len(payload["config"]) == 12
+        assert out.count("\n") == 1 and len(out.split()) == 4
+
+    def test_windowed_product_output_unchanged(self, capsys):
+        code, out, _ = run(capsys, "delta", "--base", "prod:surd:0,1,1,11",
+                           "--n", "4096", "--target", "phi3")
+        assert code == 0
+        assert out == ("4096 8.0217877179433739e-05 -0.23650047368996271"
+                       " right\n")
+
+    def test_product_n32768(self, capsys):
+        # the whole grid would be 6937^2 atoms, over the cap; the Hoeffding
+        # window keeps 1719^2
+        code, out, _ = run(capsys, "delta", "--base", "prod:surd:0,1,1,2",
+                           "--n", "32768")
+        assert code == 0
+        assert 0.0 < 32768 * float(out.split()[1]) < 1.0
 
     def test_mixture_n256(self, capsys):
         code, out, _ = run(capsys, "delta", "--base",

@@ -160,18 +160,56 @@ class TestZnDist:
         assert abs(K.moments(z).alpha3) < 1e-12
 
     def test_overflow(self):
-        with pytest.raises(SupportOverflow):
+        with pytest.raises(SupportOverflow, match=r"n = 100\b"):
             K.zn_dist(K.product_bernoulli([SQRT2]), 100, atom_cap=1000)
 
     @pytest.mark.parametrize("n", [1, 60, 1100, 4096])
     def test_binomial_rows_correctly_rounded(self, n):
-        # n = 1100 and 4096 have tails that underflow to 0.0
-        want = [float(Fraction(math.comb(n, k), 2 ** n)) for k in range(n + 1)]
+        # rows are cut to their Hoeffding window on purpose (n = 1100 and
+        # 4096): every kept entry is the correctly rounded C(n,k)/2^n, and
+        # what is left out weighs at most TAIL_EPS
         row, support = K._binom_row(n)
-        full = np.zeros(n + 1)
-        full[(support + n) // 2] = row
-        assert full.tolist() == want
+        ks = (support + n) // 2
+        assert np.array_equal(support, -support[::-1])
+        assert np.all(np.diff(support) == 2)
+        want = [float(Fraction(math.comb(n, k), 2 ** n)) for k in ks]
+        assert row.tolist() == want
         assert np.all(row > 0.0)
+        kept = sum(math.comb(n, k) for k in ks)
+        assert Fraction(2 ** n - kept, 2 ** n) <= K.TAIL_EPS
+
+    def test_window_within_error_bound(self):
+        # n = 256 cuts the rows; the reference is the whole product built
+        # from full math.comb rows
+        n = 256
+        z = K.zn_dist(K.product_bernoulli([SQRT2]), n)
+        assert len(z) < (n + 1) ** 2
+        assert 0.0 < z.tail_mass == 2 * K.TAIL_EPS
+        i = np.arange(-n, n + 1, 2)
+        full = np.array([float(Fraction(math.comb(n, k), 2 ** n))
+                         for k in range(n + 1)])
+        coords = np.stack(np.meshgrid(i, i, indexing="ij"), axis=-1)
+        coords = coords.reshape(-1, 2)
+        ref = K.DiscreteDist(
+            coords @ np.array([1.0, math.sqrt(2)]) * z.lattice.scale,
+            np.multiply.outer(full, full).ravel(),
+            lattice=K.LatticeTag((SQRT2,), coords, z.lattice.scale))
+        assert ref.tail_mass == 0.0
+        res = K.kolmogorov_distance(z, PhiFn())
+        exact = K.kolmogorov_distance(ref, PhiFn())
+        assert res.error_bound == z.tail_mass
+        assert exact.error_bound == 0.0
+        assert abs(res.delta - exact.delta) <= res.error_bound
+
+    def test_error_bound_zero_without_cut(self):
+        # rows are whole up to n = 90; convolution-built bases are never cut
+        for base in (K.product_bernoulli([SQRT2]),
+                     K.mixture_bernoulli([0.5, 0.5], [SQRT2])):
+            assert K.zn_dist(base, 64).tail_mass == 0.0
+        plain = K.zn_dist(K.bernoulli_pm(SQRT2), 256)
+        assert K.kolmogorov_distance(plain, PhiFn()).error_bound == 0.0
+        mixed = K.zn_dist(K.mixture_bernoulli([0.5, 0.5], [SQRT2]), 256)
+        assert mixed.tail_mass == 2 * K.TAIL_EPS
 
     def test_mixture_weights_against_fraction_convolution(self):
         # the doubles 0.3 and 0.7 add up to 1 - 2^-54 exactly; the mixture
