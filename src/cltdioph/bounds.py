@@ -12,18 +12,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Union
+from dataclasses import asdict, dataclass, is_dataclass
+from typing import Callable, Union
 
 import numpy as np
 from scipy.integrate import quad
 
 from . import charfn
 from .charfn import CharSpec
-from .distkit import DiscreteDist, kolmogorov_distance, mixture_bernoulli, \
-    moments, product_bernoulli, zn_dist
-from .edgeworth import EdgeworthComparison, EdgeworthParams, \
-    NormalComparison, fs_transform
+from .distkit import DiscreteDist, bernoulli_base, kolmogorov_distance, \
+    moments, zn_dist
+from .edgeworth import comparison_for, fs_transform
 from .errors import InadmissibleT, QuadratureFailure
 
 _MAX_EVALS = 10 ** 6
@@ -37,9 +36,6 @@ class SmoothingReport:
     rhs_total: float
     quadrature_error_estimate: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class Lemma21Report:
@@ -52,9 +48,6 @@ class Lemma21Report:
     n: int
     admissible: bool
     non_decaying_tail: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 class _CountingFn:
@@ -115,30 +108,6 @@ def smoothing_rhs(f: Callable[[float], complex], g: Callable[[float], complex],
     return SmoothingReport(integral, dt_term, T, integral + dt_term, err)
 
 
-def base_dist(base: Union[DiscreteDist, CharSpec]) -> DiscreteDist:
-    """The step distribution of a base spec; a distribution passes through.
-
-    ``prod:`` with no steps is the unit Bernoulli on {-1, +1}.
-    """
-    if isinstance(base, DiscreteDist):
-        return base
-    if base.form == "product":
-        return product_bernoulli(base.alphas)
-    return mixture_bernoulli(base.weights, base.alphas)
-
-
-def _abs_cf(base: Union[DiscreteDist, CharSpec]) -> Callable[[float], float]:
-    if isinstance(base, CharSpec):
-        return lambda t: abs(charfn.eval(base, t))
-    return lambda t: abs(fs_transform(base, t))
-
-
-def _peak_period(base: Union[DiscreteDist, CharSpec]) -> float:
-    if isinstance(base, CharSpec) and base.form == "mixture":
-        return 2.0 * math.pi
-    return math.pi
-
-
 def lemma21_rhs(base: Union[DiscreteDist, CharSpec], n: int,
                 T: float) -> Lemma21Report:
     """Moment term + cutoff term + tail integral of |f(t)|^n / t.
@@ -146,16 +115,24 @@ def lemma21_rhs(base: Union[DiscreteDist, CharSpec], n: int,
     The integration runs from sigma/sqrt(beta4) to T; |f|^n is evaluated
     as exp(n log1p(|f| - 1)) so near-resonance values survive underflow,
     and panels are split at the resonance period so the adaptive rule
-    cannot step over the O(1/sqrt(n))-wide spikes.
+    cannot step over the O(1/sqrt(n))-wide spikes.  A CharSpec is
+    evaluated in closed form at its own period; a distribution by its
+    Fourier-Stieltjes transform, split at multiples of pi.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    m = moments(base_dist(base))
+    if isinstance(base, CharSpec):
+        spec, base = base, bernoulli_base(base)
+        period = spec.period
+        abs_f = lambda t: abs(charfn.eval(spec, t))
+    else:
+        period = math.pi
+        abs_f = lambda t: abs(fs_transform(base, t))
+    m = moments(base)
     sigma = math.sqrt(m.sigma2)
     t_lo = sigma / math.sqrt(m.beta4)
     if T < t_lo:
         raise InadmissibleT(f"T={T} below sigma/sqrt(beta4)={t_lo}")
-    abs_f = _abs_cf(base)
 
     counted = _CountingFn(abs_f, _MAX_EVALS)
 
@@ -167,7 +144,6 @@ def lemma21_rhs(base: Union[DiscreteDist, CharSpec], n: int,
             return 0.0
         return math.exp(n * math.log1p(v - 1.0)) / t
 
-    period = _peak_period(base)
     ks = np.arange(max(1, math.floor(t_lo / period)),
                    math.ceil(T / period) + 1)
     breaks = list(period * ks)
@@ -216,19 +192,12 @@ class Prop51Row:
     checked: int
     c_fit: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class Prop51Report:
     rows: tuple[Prop51Row, ...]
     symmetric: bool
     c_spread: float  # max/min of the fitted constants across n
-
-    def to_dict(self) -> dict:
-        return {"rows": [r.to_dict() for r in self.rows],
-                "symmetric": self.symmetric, "c_spread": self.c_spread}
 
 
 def prop51_check(base: DiscreteDist, n_list, p: float, q: float,
@@ -245,21 +214,13 @@ def prop51_check(base: DiscreteDist, n_list, p: float, q: float,
     quantity the argument actually propagates and it is n-stable exactly
     when Delta_n follows the assumed rate.
     """
-    m = moments(base)
-    symmetric = abs(m.alpha3) < 1e-12
+    symmetric = abs(moments(base).alpha3) < 1e-12
     const = 16.02 if symmetric else 24.2
+    target = "phi" if symmetric else "phi3"
     rows = []
     for n in n_list:
         z = zn_dist(base, n)
-        if symmetric:
-            G = NormalComparison()
-            g3 = lambda t: complex(math.exp(-t * t / 2.0))
-        else:
-            params = EdgeworthParams(m.alpha3, math.sqrt(m.sigma2), n, m.beta4)
-            G = EdgeworthComparison(params)
-            from .edgeworth import phi3_fourier
-            g3 = lambda t: phi3_fourier(t, params)
-        delta = kolmogorov_distance(z, G).delta
+        delta = kolmogorov_distance(z, comparison_for(target, base, n)).delta
         log_fac = math.sqrt(math.log(math.e + 1.0 / delta))
         grid = t_grid if t_grid is not None \
             else np.linspace(math.sqrt(n), 4.0 * math.sqrt(n), 200)
@@ -286,8 +247,9 @@ def prop51_check(base: DiscreteDist, n_list, p: float, q: float,
 
 
 def write_report_json(path, records) -> None:
-    """One JSON document with a list of report records."""
-    payload = [r.to_dict() if hasattr(r, "to_dict") else r for r in records]
+    """One JSON document with a list of report records (dicts or
+    dataclasses)."""
+    payload = [asdict(r) if is_dataclass(r) else r for r in records]
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")

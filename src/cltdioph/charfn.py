@@ -93,6 +93,12 @@ class CharSpec:
             self, "_alpha_ld",
             tuple(_alpha_longdouble(a) for a in self.alphas))
 
+    @property
+    def period(self) -> float:
+        """Spacing of the resonances of |f|: pi for a product, 2 pi for a
+        mixture."""
+        return math.pi if self.form == "product" else 2.0 * math.pi
+
     @classmethod
     def product(cls, alphas) -> "CharSpec":
         return cls("product", tuple(alphas))
@@ -218,7 +224,7 @@ def _refine_peak(spec: CharSpec, center: float) -> tuple[float, float]:
 def growth_fit(spec: CharSpec, t_max: float, n_peaks: int = 8) -> GrowthFit:
     """Fit log(1/(1 - |f|)) against log t at record resonances of |f|.
 
-    Candidate peaks sit near pi*n (product form) or 2*pi*n (mixture form).
+    Candidate peaks sit at multiples of ``spec.period``.
     The retained sample is the sequence of records, peaks whose 1 - |f|
     undercuts every earlier peak. Records trace the lower envelope of
     1 - |f|, which is the object the growth law describes, and they
@@ -234,7 +240,7 @@ def growth_fit(spec: CharSpec, t_max: float, n_peaks: int = 8) -> GrowthFit:
         # pure cos(t): |f(pi n)| = 1 exactly, no growth law to fit
         return GrowthFit(math.nan, None, (), math.nan, degenerate=True)
 
-    period = math.pi if spec.form == "product" else 2.0 * math.pi
+    period = spec.period
     n_hi = int(t_max / period)
     if n_hi < n_peaks:
         raise InsufficientPeaks(

@@ -501,9 +501,6 @@ class KhinchinePsi:
             raise ValueError(f"psi({n}) = {v} must be positive")
         return v
 
-    def check_monotone(self, n_max: int) -> bool:
-        return all(self(n + 1) <= self(n) for n in range(1, n_max))
-
 
 def khinchine_r(alpha: AlphaSpec, psi: KhinchinePsi,
                 n_max: int) -> tuple[float, int]:

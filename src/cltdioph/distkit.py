@@ -1,15 +1,17 @@
 """Finitely supported distributions and exact Kolmogorov distances.
 
-A DiscreteDist is an immutable sorted atom/weight table.  Products and
-mixtures of symmetric Bernoulli steps (``product_bernoulli``,
-``mixture_bernoulli``) carry a lattice tag: integer coordinates against the
-coefficient vector (1, alpha_1, ..., alpha_m), so atoms that coincide merge
-exactly and distinct atoms cannot silently collide.  For these bases
-``zn_dist`` builds Z_n with one lattice builder, on integer coordinates
-from exact binomial rows, for products, mixtures and rational step heights
-alike; every other base goes through convolution powers.  The binomial
-rows are cut to a Hoeffding window, and a bound on the mass they leave
-out is carried to ``KolmogorovResult.error_bound``.
+A DiscreteDist is an immutable sorted atom/weight table.  A product or
+mixture of symmetric Bernoulli steps is described by one ``CharSpec``, the
+same description its characteristic function is evaluated from;
+``bernoulli_base(spec)`` turns it into a base with a lattice tag: integer
+coordinates against the coefficient vector (1, alpha_1, ..., alpha_m), so
+atoms that coincide merge exactly and distinct atoms cannot silently
+collide.  For these bases ``zn_dist`` builds Z_n with one lattice builder,
+on integer coordinates from exact binomial rows, for products, mixtures
+and rational step heights alike; every other base goes through
+convolution powers.  The binomial rows are cut to a Hoeffding window, and
+a bound on the mass left out (``tail_mass``) is carried through
+convolutions and mixtures to ``KolmogorovResult.error_bound``.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .charfn import CharSpec
 from .dioph import AlphaSpec
 from .errors import PrecisionExhausted, SupportOverflow
 
-#: default atom-count ceiling for convolutions (desk-scale memory cap)
+#: atom-count ceiling for convolutions and Z_n grids (desk-scale memory cap)
 ATOM_CAP = 30_000_000
 
 #: probability mass a binomial row may leave out of its Hoeffding window
@@ -54,21 +57,14 @@ class LatticeTag:
                 and all(a.text == b.text for a, b in zip(self.alphas, other.alphas)))
 
 
-class _Steps(NamedTuple):
-    """The Bernoulli steps a product or mixture base was built from."""
-
-    alphas: tuple[AlphaSpec, ...]
-    mix: Optional[tuple[float, ...]]  # mixture weights p_0..p_m; None: product
-
-
 class DiscreteDist:
     """Sorted finitely supported probability measure."""
 
-    #: set by product_bernoulli / mixture_bernoulli, for zn_dist
-    _steps: Optional[_Steps] = None
+    #: the steps a base was built from (set by bernoulli_base), for zn_dist
+    spec: Optional[CharSpec] = None
     #: upper bound on the probability mass the lattice builder left out of
-    #: Z_n (the weights sum to 1 minus at most this); 0.0 for every other
-    #: constructor
+    #: Z_n (the weights sum to 1 minus at most this), carried through
+    #: convolve and mixture; 0.0 for every other constructor
     tail_mass: float = 0.0
 
     def __init__(self, positions: np.ndarray, weights: np.ndarray,
@@ -190,27 +186,25 @@ def bernoulli_pm(scale) -> DiscreteDist:
     return DiscreteDist(np.array([-s, s]), np.array([0.5, 0.5]))
 
 
+def bernoulli_base(spec: CharSpec) -> DiscreteDist:
+    """The step distribution of a product or mixture spec, with a lattice
+    tag over (1, alphas); ``prod:`` with no steps is the unit Bernoulli on
+    {-1, +1}."""
+    # one step is Z_1 before normalization
+    base = _lattice_zn(spec, 1, 1.0)
+    base.spec = spec
+    return base
+
+
 def product_bernoulli(alphas: Sequence[AlphaSpec]) -> DiscreteDist:
     """B_1 * B_{alpha_1} * ... * B_{alpha_m} with a lattice tag."""
-    return _bernoulli_base(_Steps(tuple(alphas), None))
+    return bernoulli_base(CharSpec.product(alphas))
 
 
 def mixture_bernoulli(weights: Sequence[float],
                       alphas: Sequence[AlphaSpec]) -> DiscreteDist:
     """p_0 B_1 + sum_k p_k B_{alpha_k} with a lattice tag over (1, alphas)."""
-    alphas = tuple(alphas)
-    if len(weights) != len(alphas) + 1:
-        raise ValueError("need one weight per component (leading B_1 included)")
-    if any(p <= 0 for p in weights) or abs(sum(weights) - 1.0) > _MASS_TOL:
-        raise ValueError("mixture weights must be positive and sum to 1")
-    return _bernoulli_base(_Steps(alphas, tuple(float(p) for p in weights)))
-
-
-def _bernoulli_base(steps: _Steps) -> DiscreteDist:
-    # one step is Z_1 before normalization
-    base = _lattice_zn(steps, 1, 1.0)
-    base._steps = steps
-    return base
+    return bernoulli_base(CharSpec.mixture(weights, alphas))
 
 
 def mixture(components: Sequence[tuple[float, DiscreteDist]]) -> DiscreteDist:
@@ -228,19 +222,24 @@ def mixture(components: Sequence[tuple[float, DiscreteDist]]) -> DiscreteDist:
         lattice = LatticeTag(tags[0].alphas,
                              np.concatenate([t.coords for t in tags]),
                              tags[0].scale)
-    return DiscreteDist(positions, weights, lattice=lattice)
+    dist = DiscreteDist(positions, weights, lattice=lattice)
+    dist.tail_mass = sum(w * d.tail_mass for w, d in components)
+    return dist
 
 
 # ---------------------------------------------------------------------------
 # convolution and normalized sums
 
 
-def convolve(d1: DiscreteDist, d2: DiscreteDist,
-             atom_cap: int = ATOM_CAP) -> DiscreteDist:
-    """Distribution of X1 + X2 for independent X1 ~ d1, X2 ~ d2."""
+def convolve(d1: DiscreteDist, d2: DiscreteDist) -> DiscreteDist:
+    """Distribution of X1 + X2 for independent X1 ~ d1, X2 ~ d2.
+
+    Each input omits at most its ``tail_mass``, so by the union bound the
+    result omits at most their sum.
+    """
     k = len(d1) * len(d2)
-    if k > atom_cap:
-        raise SupportOverflow(f"convolution support {k} exceeds cap {atom_cap}")
+    if k > ATOM_CAP:
+        raise SupportOverflow(f"convolution support {k} exceeds cap {ATOM_CAP}")
     positions = np.add.outer(d1.positions, d2.positions).ravel()
     weights = np.multiply.outer(d1.weights, d2.weights).ravel()
     lattice = None
@@ -249,7 +248,9 @@ def convolve(d1: DiscreteDist, d2: DiscreteDist,
         c1, c2 = d1.lattice.coords, d2.lattice.coords
         coords = (c1[:, None, :] + c2[None, :, :]).reshape(k, c1.shape[1])
         lattice = LatticeTag(d1.lattice.alphas, coords, d1.lattice.scale)
-    return DiscreteDist(positions, weights, lattice=lattice)
+    dist = DiscreteDist(positions, weights, lattice=lattice)
+    dist.tail_mass = d1.tail_mass + d2.tail_mass
+    return dist
 
 
 def _binom_row(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -278,12 +279,11 @@ def _binom_row(n: int) -> tuple[np.ndarray, np.ndarray]:
     return row[lo:row.size - lo], support
 
 
-def zn_dist(base: DiscreteDist, n: int, atom_cap: int = ATOM_CAP) -> DiscreteDist:
+def zn_dist(base: DiscreteDist, n: int) -> DiscreteDist:
     """Distribution of Z_n = (X_1 + ... + X_n) / (sigma sqrt(n)).
 
-    Bases built by product_bernoulli / mixture_bernoulli go through the
-    lattice builder; everything else goes through iterated convolution by
-    binary powering.
+    Bases built by bernoulli_base go through the lattice builder;
+    everything else goes through iterated convolution by binary powering.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -291,8 +291,8 @@ def zn_dist(base: DiscreteDist, n: int, atom_cap: int = ATOM_CAP) -> DiscreteDis
     if mom.sigma2 <= 0:
         raise ValueError("base distribution is degenerate")
     scale = 1.0 / (math.sqrt(mom.sigma2) * math.sqrt(n))
-    if base._steps is not None:
-        return _lattice_zn(base._steps, n, scale, atom_cap)
+    if base.spec is not None:
+        return _lattice_zn(base.spec, n, scale)
 
     # binary powering on the raw sum, rescale once at the end
     result: Optional[DiscreteDist] = None
@@ -300,16 +300,17 @@ def zn_dist(base: DiscreteDist, n: int, atom_cap: int = ATOM_CAP) -> DiscreteDis
     k = n
     while k:
         if k & 1:
-            result = power if result is None else convolve(result, power, atom_cap)
+            result = power if result is None else convolve(result, power)
         k >>= 1
         if k:
-            power = convolve(power, power, atom_cap)
+            power = convolve(power, power)
     assert result is not None
-    return DiscreteDist(result.positions * scale, result.weights, _trusted=True)
+    z = DiscreteDist(result.positions * scale, result.weights, _trusted=True)
+    z.tail_mass = result.tail_mass
+    return z
 
 
-def _lattice_zn(steps: _Steps, n: int, scale: float,
-                atom_cap: int = ATOM_CAP) -> DiscreteDist:
+def _lattice_zn(spec: CharSpec, n: int, scale: float) -> DiscreteDist:
     """Z_n of Bernoulli steps, with positions multiplied by ``scale``.
 
     The weights live on the integer coordinates (c_0, ..., c_m) of the raw
@@ -325,24 +326,24 @@ def _lattice_zn(steps: _Steps, n: int, scale: float,
     bound holds for it.  That bound is recorded as ``tail_mass``; it is
     0.0 when the n-row, and so every shorter row, is whole.
     """
-    m = len(steps.alphas)
+    m = len(spec.alphas)
     row, support = _binom_row(n)
     tail_mass = (m + 1) * TAIL_EPS if support[0] > -n else 0.0
-    if steps.mix is not None:
+    if spec.weights is not None:
         support = np.arange(-n, n + 1, dtype=np.int64)
-    if support.size ** (m + 1) > atom_cap:
+    if support.size ** (m + 1) > ATOM_CAP:
         raise SupportOverflow(
             f"Z_n grid for n = {n}, m = {m}: row window {support.size}, "
-            f"{support.size ** (m + 1)} atoms exceed cap {atom_cap}")
-    if steps.mix is None:
+            f"{support.size ** (m + 1)} atoms exceed cap {ATOM_CAP}")
+    if spec.weights is None:
         grid = row
         for _ in range(m):
             grid = np.multiply.outer(grid, row)
     else:
         # mixture weights over a common denominator: normalized exactly,
         # although the floats p_j need not add up to exactly 1
-        common = math.lcm(*(Fraction(p).denominator for p in steps.mix))
-        ints = [int(Fraction(p) * common) for p in steps.mix]
+        common = math.lcm(*(Fraction(p).denominator for p in spec.weights))
+        ints = [int(Fraction(p) * common) for p in spec.weights]
         powers = [list(itertools.accumulate(itertools.repeat(w, n),
                                             operator.mul, initial=1))
                   for w in ints]
@@ -359,7 +360,7 @@ def _lattice_zn(steps: _Steps, n: int, scale: float,
             grid[tuple(cells)] += block
     # cells of weight 0.0 (unreachable or underflowed) are dropped by
     # DiscreteDist
-    dist = _lattice_dist(steps.alphas, np.ix_(*([support] * (m + 1))), grid,
+    dist = _lattice_dist(spec.alphas, np.ix_(*([support] * (m + 1))), grid,
                          scale, n)
     dist.tail_mass = tail_mass
     return dist

@@ -204,13 +204,14 @@ class EdgeworthComparison:
         return phi3_stationary_points(self.params)
 
 
-def comparison_for(target: str, params: Optional[EdgeworthParams] = None):
+def comparison_for(target: str, base: DiscreteDist, n: int):
+    """The comparison function G for Z_n of ``base``: the normal CDF
+    (``"phi"``) or its Edgeworth correction Phi3 (``"phi3"``), whose
+    parameters come from the moments of ``base``."""
     if target == "phi":
         return NormalComparison()
     if target == "phi3":
-        if params is None:
-            raise ValueError("phi3 target needs EdgeworthParams")
-        return EdgeworthComparison(params)
+        return EdgeworthComparison(EdgeworthParams.from_dist(base, n))
     raise ValueError(f"unknown comparison target {target!r}")
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import time
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -19,7 +18,7 @@ import numpy as np
 from .dioph import AlphaSpec
 from .distkit import DiscreteDist, kolmogorov_distance, moments, \
     product_bernoulli, zn_dist
-from .edgeworth import EdgeworthComparison, EdgeworthParams, NormalComparison
+from .edgeworth import comparison_for
 from .errors import TooFewPoints
 
 
@@ -30,10 +29,6 @@ class SweepRow:
     delta_phi3: Optional[float]
     argmax: float
     p_zero: float  # mass of the atom at 0, a distance lower bound via /2
-    seconds: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -52,11 +47,6 @@ class SweepResult:
             if not 0.0 < r.delta_phi <= 1.0:
                 raise ValueError(f"delta out of (0, 1] at n={r.n}")
 
-    def to_dict(self) -> dict:
-        return {"base": self.base, "sigma2": self.sigma2,
-                "alpha3": self.alpha3, "beta4": self.beta4,
-                "rows": [r.to_dict() for r in self.rows]}
-
     def write_csv(self, out) -> None:
         """Write the rows as CSV to a path, or to an open text file after
         whatever the caller wrote there first."""
@@ -65,12 +55,12 @@ class SweepResult:
                 self.write_csv(fh)
             return
         w = csv.writer(out)
-        w.writerow(["n", "delta_phi", "delta_phi3", "argmax", "seconds"])
+        w.writerow(["n", "delta_phi", "delta_phi3", "argmax"])
         for r in self.rows:
             w.writerow([r.n, f"{r.delta_phi:.17g}",
                         "" if r.delta_phi3 is None
                         else f"{r.delta_phi3:.17g}",
-                        f"{r.argmax:.17g}", f"{r.seconds:.3f}"])
+                        f"{r.argmax:.17g}"])
 
 
 @dataclass(frozen=True)
@@ -82,34 +72,25 @@ class RateFit:
     constrained_exponent: Optional[float] = None
     constrained_logpow: Optional[float] = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-
-def delta_sweep(base: DiscreteDist, n_list, base_label: str = "",
-                include_phi3: Optional[bool] = None) -> SweepResult:
+def delta_sweep(base: DiscreteDist, n_list,
+                base_label: str = "") -> SweepResult:
     """Exact Kolmogorov distances of Z_n to the normal CDF (and to the
     skewness-corrected CDF for asymmetric bases) over the given n values."""
     m = moments(base)
-    sigma = math.sqrt(m.sigma2)
-    if include_phi3 is None:
-        include_phi3 = abs(m.alpha3) > 1e-12
-    normal = NormalComparison()
+    skewed = abs(m.alpha3) > 1e-12
     rows = []
     for n in n_list:
         n = int(n)
-        start = time.perf_counter()
         z = zn_dist(base, n)
-        res = kolmogorov_distance(z, normal)
+        res = kolmogorov_distance(z, comparison_for("phi", base, n))
         d3 = None
-        if include_phi3:
-            params = EdgeworthParams(m.alpha3, sigma, n, m.beta4)
-            d3 = kolmogorov_distance(z, EdgeworthComparison(params)).delta
+        if skewed:
+            d3 = kolmogorov_distance(z, comparison_for("phi3", base, n)).delta
         at_zero = np.abs(z.positions) < 1e-15
         p_zero = float(np.sum(z.weights[at_zero]))
         rows.append(SweepRow(n=n, delta_phi=res.delta, delta_phi3=d3,
-                             argmax=res.argmax, p_zero=p_zero,
-                             seconds=time.perf_counter() - start))
+                             argmax=res.argmax, p_zero=p_zero))
     return SweepResult(base=base_label or repr(base), rows=tuple(rows),
                        sigma2=m.sigma2, alpha3=m.alpha3, beta4=m.beta4)
 
@@ -171,11 +152,11 @@ def avg_delta(n: int, grid_size: int) -> tuple[float, float]:
     """
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
-    normal = NormalComparison()
     total = 0.0
     for i in range(grid_size):
         base = product_bernoulli([AlphaSpec.rational(2 * i + 1, 2 * grid_size)])
-        total += kolmogorov_distance(zn_dist(base, n), normal).delta
+        G = comparison_for("phi", base, n)
+        total += kolmogorov_distance(zn_dist(base, n), G).delta
     average = total / grid_size
     return average, average * n / math.log(n + 1.0)
 
@@ -204,13 +185,6 @@ class ComparisonReport:
     dstar_fit: RateFit
     delta_rows: tuple[tuple[int, float], ...]
     dstar_rows: tuple[tuple[int, float], ...]
-
-    def to_dict(self) -> dict:
-        return {"alpha": self.alpha,
-                "delta_fit": self.delta_fit.to_dict(),
-                "dstar_fit": self.dstar_fit.to_dict(),
-                "delta_rows": list(map(list, self.delta_rows)),
-                "dstar_rows": list(map(list, self.dstar_rows))}
 
 
 def compare_16_vs_17(alpha: AlphaSpec, n_list_delta,
@@ -245,5 +219,5 @@ def write_dstar_csv(path, rows) -> None:
 
 def write_fit_json(path, fit: RateFit) -> None:
     with open(path, "w") as fh:
-        json.dump(fit.to_dict(), fh, indent=1)
+        json.dump(asdict(fit), fh, indent=1)
         fh.write("\n")

@@ -90,10 +90,11 @@ class TestConvolve:
         assert np.allclose(c.positions, d.positions)
         assert np.allclose(c.weights, d.weights)
 
-    def test_overflow_guard(self):
+    def test_overflow_guard(self, monkeypatch):
         d = K.zn_dist(K.product_bernoulli([SQRT2]), 8)
+        monkeypatch.setattr(K, "ATOM_CAP", 100)
         with pytest.raises(SupportOverflow):
-            K.convolve(d, d, atom_cap=100)
+            K.convolve(d, d)
 
     def test_lattice_merge_exact(self):
         base = K.product_bernoulli([SQRT2])
@@ -159,9 +160,10 @@ class TestZnDist:
         assert np.max(np.abs(z.weights - z.weights[::-1])) < 1e-15
         assert abs(K.moments(z).alpha3) < 1e-12
 
-    def test_overflow(self):
+    def test_overflow(self, monkeypatch):
+        monkeypatch.setattr(K, "ATOM_CAP", 1000)
         with pytest.raises(SupportOverflow, match=r"n = 100\b"):
-            K.zn_dist(K.product_bernoulli([SQRT2]), 100, atom_cap=1000)
+            K.zn_dist(K.product_bernoulli([SQRT2]), 100)
 
     @pytest.mark.parametrize("n", [1, 60, 1100, 4096])
     def test_binomial_rows_correctly_rounded(self, n):
@@ -210,6 +212,32 @@ class TestZnDist:
         assert K.kolmogorov_distance(plain, PhiFn()).error_bound == 0.0
         mixed = K.zn_dist(K.mixture_bernoulli([0.5, 0.5], [SQRT2]), 256)
         assert mixed.tail_mass == 2 * K.TAIL_EPS
+
+    def test_tail_mass_carried_through_convolution(self):
+        # the union bound: a convolution omits at most the sum of what its
+        # inputs omit, a mixture the weighted sum
+        base = K.product_bernoulli([SQRT2])
+        z = K.zn_dist(base, 256)
+        assert z.tail_mass == 2 * K.TAIL_EPS
+        conv = K.convolve(z, base)
+        assert conv.tail_mass == 2 * K.TAIL_EPS
+        assert K.kolmogorov_distance(conv, PhiFn()).error_bound \
+            == 2 * K.TAIL_EPS
+        mixed = K.mixture([(0.5, z), (0.5, K.zn_dist(base, 64))])
+        assert mixed.tail_mass == K.TAIL_EPS
+
+    def test_tail_mass_carried_through_powering(self):
+        d = K.bernoulli_pm(1)
+        d.tail_mass = K.TAIL_EPS
+        assert K.zn_dist(d, 5).tail_mass == 5 * K.TAIL_EPS
+
+    @pytest.mark.parametrize("weights", [[1.0], [0.5, 0.25, 0.25],
+                                         [1.0, 0.0], [1.5, -0.5],
+                                         [0.5, 0.4]])
+    def test_mixture_rejects_bad_weights(self, weights):
+        # wrong length, non-positive, not normalized
+        with pytest.raises(ValueError, match="weights"):
+            K.mixture_bernoulli(weights, [SQRT2])
 
     def test_mixture_weights_against_fraction_convolution(self):
         # the doubles 0.3 and 0.7 add up to 1 - 2^-54 exactly; the mixture

@@ -410,13 +410,15 @@ class TestEmpiricalInequalities:
 
 class TestComparisonApi:
     def test_factory(self):
-        assert isinstance(E.comparison_for("phi"), E.NormalComparison)
-        p = params(0.1)
-        assert isinstance(E.comparison_for("phi3", p), E.EdgeworthComparison)
+        base = K.DiscreteDist(np.array([-1.0, 2.0]), np.array([2 / 3, 1 / 3]))
+        assert isinstance(E.comparison_for("phi", base, 16),
+                          E.NormalComparison)
+        G = E.comparison_for("phi3", base, 16)
+        assert isinstance(G, E.EdgeworthComparison)
+        assert G.params == E.EdgeworthParams.from_dist(base, 16)
+        assert G.params.a != 0.0
         with pytest.raises(ValueError):
-            E.comparison_for("phi3")
-        with pytest.raises(ValueError):
-            E.comparison_for("uniform")
+            E.comparison_for("uniform", base, 16)
 
     def test_stationary_points_feed_kolmogorov(self):
         # a large enough to create interior stationary points of Phi3

@@ -16,7 +16,7 @@ GOLDEN = AlphaSpec.surd(1, 1, 2, 5)
 
 def synthetic_sweep(ns, deltas):
     rows = tuple(R.SweepRow(n=n, delta_phi=d, delta_phi3=None, argmax=0.0,
-                            p_zero=0.0, seconds=0.0)
+                            p_zero=0.0)
                  for n, d in zip(ns, deltas))
     return R.SweepResult(base="synthetic", rows=rows,
                          sigma2=1.0, alpha3=0.0, beta4=1.0)
@@ -192,7 +192,7 @@ class TestSerialization:
         path = tmp_path / "sweep.csv"
         sweep.write_csv(path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "n,delta_phi,delta_phi3,argmax,seconds"
+        assert lines[0] == "n,delta_phi,delta_phi3,argmax"
         assert len(lines) == 3
         assert float(lines[1].split(",")[1]) == sweep.rows[0].delta_phi
 
