@@ -13,15 +13,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, is_dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
 
-from . import charfn
-from .charfn import CharSpec
-from .distkit import DiscreteDist, bernoulli_base, kolmogorov_distance, \
-    moments, zn_dist
+from .distkit import DiscreteDist, kolmogorov_distance, moments, zn_dist
 from .edgeworth import comparison_for, fs_transform
 from .errors import InadmissibleT, QuadratureFailure
 
@@ -108,26 +105,18 @@ def smoothing_rhs(f: Callable[[float], complex], g: Callable[[float], complex],
     return SmoothingReport(integral, dt_term, T, integral + dt_term, err)
 
 
-def lemma21_rhs(base: Union[DiscreteDist, CharSpec], n: int,
-                T: float) -> Lemma21Report:
+def lemma21_rhs(base: DiscreteDist, n: int, T: float) -> Lemma21Report:
     """Moment term + cutoff term + tail integral of |f(t)|^n / t.
 
-    The integration runs from sigma/sqrt(beta4) to T; |f|^n is evaluated
-    as exp(n log1p(|f| - 1)) so near-resonance values survive underflow,
-    and panels are split at the resonance period so the adaptive rule
-    cannot step over the O(1/sqrt(n))-wide spikes.  A CharSpec is
-    evaluated in closed form at its own period; a distribution by its
-    Fourier-Stieltjes transform, split at multiples of pi.
+    f is the Fourier-Stieltjes transform of ``base``.  The integration
+    runs from sigma/sqrt(beta4) to T; |f|^n is evaluated as
+    exp(n log1p(|f| - 1)) so near-resonance values survive underflow, and
+    panels are split at multiples of pi, where Bernoulli steps resonate,
+    so the adaptive rule cannot step over the O(1/sqrt(n))-wide spikes.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if isinstance(base, CharSpec):
-        spec, base = base, bernoulli_base(base)
-        period = spec.period
-        abs_f = lambda t: abs(charfn.eval(spec, t))
-    else:
-        period = math.pi
-        abs_f = lambda t: abs(fs_transform(base, t))
+    abs_f = lambda t: abs(fs_transform(base, t))
     m = moments(base)
     sigma = math.sqrt(m.sigma2)
     t_lo = sigma / math.sqrt(m.beta4)
@@ -144,16 +133,16 @@ def lemma21_rhs(base: Union[DiscreteDist, CharSpec], n: int,
             return 0.0
         return math.exp(n * math.log1p(v - 1.0)) / t
 
-    ks = np.arange(max(1, math.floor(t_lo / period)),
-                   math.ceil(T / period) + 1)
-    breaks = list(period * ks)
+    ks = np.arange(max(1, math.floor(t_lo / math.pi)),
+                   math.ceil(T / math.pi) + 1)
+    breaks = list(math.pi * ks)
     tail, _ = _panelized_quad(integrand, t_lo, T, breaks, 1e-12)
 
     # a lattice base returns to |f| = 1 at every resonance, so the tail
     # integral keeps growing with T instead of decaying
     non_decaying = any(
-        abs_f(period * k) > 1.0 - 1e-12
-        for k in range(1, int(T / period) + 1))
+        abs_f(math.pi * k) > 1.0 - 1e-12
+        for k in range(1, int(T / math.pi) + 1))
 
     moment_term = m.beta4 / (m.sigma2 ** 2 * n)
     cutoff_term = 1.0 / (T * sigma * math.sqrt(n))

@@ -93,12 +93,6 @@ class CharSpec:
             self, "_alpha_ld",
             tuple(_alpha_longdouble(a) for a in self.alphas))
 
-    @property
-    def period(self) -> float:
-        """Spacing of the resonances of |f|: pi for a product, 2 pi for a
-        mixture."""
-        return math.pi if self.form == "product" else 2.0 * math.pi
-
     @classmethod
     def product(cls, alphas) -> "CharSpec":
         return cls("product", tuple(alphas))
@@ -208,10 +202,6 @@ class GrowthFit:
     residual: float
     degenerate: bool = False
 
-    @property
-    def q_identifiable(self) -> bool:
-        return self.q_hat is not None
-
 
 def _refine_peak(spec: CharSpec, center: float) -> tuple[float, float]:
     res = minimize_scalar(lambda s: -abs(eval(spec, s)),
@@ -224,8 +214,8 @@ def _refine_peak(spec: CharSpec, center: float) -> tuple[float, float]:
 def growth_fit(spec: CharSpec, t_max: float, n_peaks: int = 8) -> GrowthFit:
     """Fit log(1/(1 - |f|)) against log t at record resonances of |f|.
 
-    Candidate peaks sit at multiples of ``spec.period``.
-    The retained sample is the sequence of records, peaks whose 1 - |f|
+    Candidate peaks sit at multiples of pi: |f| is near 1 only where
+    |cos t| is, for products and mixtures alike.  The retained sample is the sequence of records, peaks whose 1 - |f|
     undercuts every earlier peak. Records trace the lower envelope of
     1 - |f|, which is the object the growth law describes, and they
     space themselves along the log-t axis; taking literally the largest
@@ -240,15 +230,14 @@ def growth_fit(spec: CharSpec, t_max: float, n_peaks: int = 8) -> GrowthFit:
         # pure cos(t): |f(pi n)| = 1 exactly, no growth law to fit
         return GrowthFit(math.nan, None, (), math.nan, degenerate=True)
 
-    period = spec.period
-    n_hi = int(t_max / period)
+    n_hi = int(t_max / math.pi)
     if n_hi < n_peaks:
         raise InsufficientPeaks(
             f"only {n_hi} candidate peaks below t_max={t_max}")
     records: list[tuple[float, float]] = []
     best = 0.5  # near-peak regime cutoff doubles as the first record level
     for n in range(1, n_hi + 1):
-        t_peak, f_peak = _refine_peak(spec, period * n)
+        t_peak, f_peak = _refine_peak(spec, math.pi * n)
         one_minus = 1.0 - f_peak
         if one_minus < 1e-15:
             # an exact return to |f| = 1: rational lattice resonance

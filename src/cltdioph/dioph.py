@@ -11,7 +11,6 @@ answer or raises PrecisionExhausted.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,13 +19,8 @@ from typing import Callable, Optional, Sequence
 
 from .errors import PrecisionExhausted
 
-#: hard ceiling for the doubling precision protocol (bits); can be raised
-#: via the CLT_DIOPH_PRECISION_BITS environment variable.
-DEFAULT_MAX_BITS = 4096
-
-
-def max_precision_bits() -> int:
-    return int(os.environ.get("CLT_DIOPH_PRECISION_BITS", DEFAULT_MAX_BITS))
+#: hard ceiling for the doubling precision protocol (bits)
+MAX_BITS = 4096
 
 
 def _round_div(a: int, b: int) -> int:
@@ -391,7 +385,7 @@ def nearest_int_dist(alpha: AlphaSpec, n: int) -> tuple[float, float]:
         frac = f - (f.numerator // f.denominator)
         dist = min(frac, 1 - frac)
         return float(dist), 0.0
-    cap = max_precision_bits()
+    cap = MAX_BITS
     if alpha.kind == "dec":
         cap = min(cap, alpha._max_bits)
     bits = max(64, 41 + n.bit_length())
@@ -467,9 +461,6 @@ class EpsProfile:
     values: list[float]
     diagnostic: Optional[list[float]] = None  # n^eta (log n)^eta' eps(n)
 
-    def __getitem__(self, n: int) -> float:
-        return self.values[n - 1]
-
 
 def eps_profile(alphas: Sequence[AlphaSpec], n_max: int,
                 eta: Optional[float] = None,
@@ -492,8 +483,6 @@ class KhinchinePsi:
     """Positive weight function psi(n) for the Khinchine functional."""
 
     fn: Callable[[int], float]
-    non_increasing: bool = False
-    description: str = ""
 
     def __call__(self, n: int) -> float:
         v = self.fn(n)

@@ -68,7 +68,7 @@ class DiscreteDist:
     tail_mass: float = 0.0
 
     def __init__(self, positions: np.ndarray, weights: np.ndarray,
-                 lattice: Optional[LatticeTag] = None, _trusted: bool = False):
+                 lattice: Optional[LatticeTag] = None):
         positions = np.asarray(positions, dtype=np.float64)
         weights = np.asarray(weights, dtype=np.float64)
         if positions.ndim != 1 or positions.shape != weights.shape:
@@ -82,13 +82,12 @@ class DiscreteDist:
             if lattice is not None:
                 lattice = LatticeTag(lattice.alphas, lattice.coords[keep],
                                      lattice.scale)
-        if not _trusted:
-            order = np.argsort(positions, kind="stable")
-            positions, weights = positions[order], weights[order]
-            if lattice is not None:
-                lattice = LatticeTag(lattice.alphas, lattice.coords[order],
-                                     lattice.scale)
-            positions, weights, lattice = _merge_atoms(positions, weights, lattice)
+        order = np.argsort(positions, kind="stable")
+        positions, weights = positions[order], weights[order]
+        if lattice is not None:
+            lattice = LatticeTag(lattice.alphas, lattice.coords[order],
+                                 lattice.scale)
+        positions, weights, lattice = _merge_atoms(positions, weights, lattice)
         if np.any(weights <= 0):
             raise ValueError("weights must be positive")
         total = float(np.sum(weights, dtype=np.float128))
@@ -140,7 +139,8 @@ def _merge_atoms(positions, weights, lattice):
     Lattice-tagged atoms merge only when their coordinate tuples match;
     float positions merge when they agree within _MERGE_TOL relative.  A
     near-collision of distinct lattice tuples cannot be ordered reliably in
-    doubles and raises PrecisionExhausted.
+    doubles and raises PrecisionExhausted, unless the unit coordinate is
+    the only one: its positions are a monotone function of it.
     """
     if positions.size <= 1:
         return positions, weights, lattice
@@ -151,7 +151,7 @@ def _merge_atoms(positions, weights, lattice):
     if lattice is not None:
         coords = lattice.coords
         same = np.all(coords[1:] == coords[:-1], axis=1)
-        if np.any(close & ~same):
+        if lattice.m and np.any(close & ~same):
             raise PrecisionExhausted(
                 "distinct lattice atoms collide at double precision")
         group_break = ~(close & same)
@@ -305,7 +305,7 @@ def zn_dist(base: DiscreteDist, n: int) -> DiscreteDist:
         if k:
             power = convolve(power, power)
     assert result is not None
-    z = DiscreteDist(result.positions * scale, result.weights, _trusted=True)
+    z = DiscreteDist(result.positions * scale, result.weights)
     z.tail_mass = result.tail_mass
     return z
 
@@ -390,8 +390,8 @@ def _lattice_dist(alphas, cols, weights, scale, n) -> DiscreteDist:
     c_0, ..., c_m broadcast against it, of a sum of n steps (|c_j| <= n).
     Rational alphas fold into the unit coordinate over their common
     denominator q; the other coordinates are multiplied by q and the scale
-    is divided by it.  When only the unit coordinate is left, atoms merge
-    on it in one integer sort, which also orders them by position.
+    is divided by it.  Atoms with equal coordinate tuples merge exactly in
+    ``DiscreteDist``.
     """
     fracs = [a.exact_fraction() if a.is_rational else None for a in alphas]
     if any(f is not None for f in fracs):
@@ -404,21 +404,12 @@ def _lattice_dist(alphas, cols, weights, scale, n) -> DiscreteDist:
         cols = [unit] + [q * c for c, f in zip(cols[1:], fracs) if f is None]
         alphas = tuple(a for a in alphas if not a.is_rational)
         scale = scale / q
-    if alphas:
-        coords = np.stack(np.broadcast_arrays(weights, *cols)[1:], axis=-1)
-        coords, weights = coords.reshape(-1, len(cols)), weights.ravel()
-        vals = np.array([1.0] + [a.to_float() for a in alphas])
-        positions = (coords @ vals) * scale
-    else:
-        unit = np.broadcast_to(cols[0], weights.shape).ravel()
-        order = np.argsort(unit, kind="stable")
-        unit, weights = unit[order], weights.ravel()[order]
-        first = np.flatnonzero(np.diff(unit, prepend=unit[0] - 1))
-        coords, weights = unit[first, None], np.add.reduceat(weights, first)
-        positions = coords[:, 0] * scale
+    coords = np.stack(np.broadcast_arrays(weights, *cols)[1:], axis=-1)
+    coords, weights = coords.reshape(-1, len(cols)), weights.ravel()
+    vals = np.array([1.0] + [a.to_float() for a in alphas])
+    positions = (coords @ vals) * scale
     return DiscreteDist(positions, weights,
-                        lattice=LatticeTag(alphas, coords, scale),
-                        _trusted=not alphas)
+                        lattice=LatticeTag(alphas, coords, scale))
 
 
 def zn_dist_exact(alphas: Sequence[AlphaSpec], n: int) -> dict[tuple[int, ...], Fraction]:

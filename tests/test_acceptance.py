@@ -222,8 +222,7 @@ def test_criterion_10_transform_and_convolution_identities():
         direct = base
         for _ in range(n - 1):
             direct = K.convolve(direct, base)
-        want = K.DiscreteDist(direct.positions / scale, direct.weights,
-                              _trusted=True)
+        want = K.DiscreteDist(direct.positions / scale, direct.weights)
         if len(want.positions) != len(z.positions) \
                 or np.max(np.abs(want.positions - z.positions)) > 1e-14 \
                 or np.max(np.abs(want.weights - z.weights)) > 1e-14:

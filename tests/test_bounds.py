@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cltdioph import bounds as B
-from cltdioph import charfn as C
 from cltdioph import distkit as K
 from cltdioph.dioph import AlphaSpec
 from cltdioph.edgeworth import fs_transform
@@ -139,14 +138,6 @@ class TestLemma21:
         base = K.product_bernoulli([SQRT2])
         rep = B.lemma21_rhs(base, 256, 16.0)
         assert not rep.non_decaying_tail
-
-    def test_charspec_input_agrees_with_dist(self):
-        base_d = K.product_bernoulli([SQRT2])
-        base_c = C.CharSpec.product([SQRT2])
-        rd = B.lemma21_rhs(base_d, 64, 8.0)
-        rc = B.lemma21_rhs(base_c, 64, 8.0)
-        assert rd.tail_integral == pytest.approx(rc.tail_integral, rel=1e-9)
-        assert rd.moment_term == pytest.approx(rc.moment_term)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_tail_matches_simpson_oracle(self, seed):

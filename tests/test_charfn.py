@@ -210,7 +210,7 @@ class TestGrowthFit:
         fit = C.growth_fit(C.CharSpec.product([SQRT2]), 1e4, 8)
         assert not fit.degenerate
         assert 1.7 <= fit.p_hat <= 2.3
-        assert fit.q_identifiable
+        assert fit.q_hat is not None
         assert len(fit.sample) == 8
 
     def test_mixture_parity(self):
@@ -221,6 +221,13 @@ class TestGrowthFit:
     def test_mixture_uneven_weights_parity(self):
         m = C.growth_fit(C.CharSpec.mixture([0.2, 0.8], [SQRT2]), 1e4, 8).p_hat
         assert 1.7 <= m <= 2.3
+
+    def test_mixture_scans_odd_multiples_of_pi(self):
+        # at an odd multiple of pi cos t = -1, and |f| is near 1 where
+        # cos(sqrt2 t) is near -1 as well: records at 29 pi and 169 pi
+        fit = C.growth_fit(C.CharSpec.mixture([0.5, 0.5], [SQRT2]), 1e4, 8)
+        ks = {round(t / math.pi) for t, _ in fit.sample}
+        assert {29, 169} <= ks
 
     def test_degenerate_pure_cosine(self):
         fit = C.growth_fit(C.CharSpec.product([]), 1e3, 8)
@@ -241,7 +248,7 @@ class TestGrowthFit:
         # record peaks inside a range too short to identify the log power
         golden = AlphaSpec.surd(1, 1, 2, 5)
         fit = C.growth_fit(C.CharSpec.product([golden]), 900.0, 8)
-        assert fit.q_hat is None and not fit.q_identifiable
+        assert fit.q_hat is None
         assert 1.7 <= fit.p_hat <= 2.3
 
     def test_insufficient_peaks(self):

@@ -68,6 +68,18 @@ class TestDelta:
         assert code == 0
         assert 0.0 < float(out.split()[1]) < 0.1
 
+    @pytest.mark.parametrize("base, n, want", [
+        ("prod:rat:1/3", "4096",
+         "4096 0.0019712317730902207 -0.0098821176880261857 right\n"),
+        # neighbouring atoms 5e-14 apart relative: ordered, not a collision
+        ("prod:rat:1/100000000003", "2000",
+         "2000 0.0089195055464229567 6.4845971345548531e-11 right\n"),
+    ])
+    def test_rational_step_output_unchanged(self, capsys, base, n, want):
+        code, out, _ = run(capsys, "delta", "--base", base, "--n", n)
+        assert code == 0
+        assert out == want
+
     def test_config_error(self, capsys):
         code, _, err = run(capsys, "delta", "--base", "bogus", "--n", "4")
         assert code == 2
@@ -155,6 +167,14 @@ class TestCf:
         assert out.startswith("p_hat ")
         assert 1.7 <= float(out.split()[1]) <= 2.3
         assert "0 violations" in out
+
+    def test_growth_fit_output_unchanged(self, capsys):
+        code, out, _ = run(capsys, "cf", "--spec", "prod:surd:0,1,1,2",
+                           "--tmax", "3e4", "--spot-checks", "100")
+        assert code == 0
+        assert out.splitlines()[0] == (
+            "p_hat 1.9952381913845509 q_hat 0.0026067999712271511"
+            " residual 0.0081085691947101884 peaks 8")
 
     def test_degenerate_lattice(self, capsys):
         code, out, _ = run(capsys, "cf", "--spec", "prod:", "--tmax", "100")

@@ -244,13 +244,12 @@ class TestEpsProfile:
 
 class TestKhinchineR:
     def test_single_term(self):
-        psi = D.KhinchinePsi(lambda n: 1.0, non_increasing=True)
+        psi = D.KhinchinePsi(lambda n: 1.0)
         v, arg = D.khinchine_r(SQRT2, psi, 1)
         assert abs(v - 0.41421) < 1e-5 and arg == 1
 
     def test_argmin_at_convergent_denominator(self):
-        psi = D.KhinchinePsi(lambda n: 1.0 / (n * math.log(n + 1) ** 1.5),
-                             non_increasing=True, description="summable")
+        psi = D.KhinchinePsi(lambda n: 1.0 / (n * math.log(n + 1) ** 1.5))
         v, arg = D.khinchine_r(SQRT2, psi, 1000)
         assert v > 0
         qs = {c.denominator for c in D.cf_expand(SQRT2, 20).convergents}
