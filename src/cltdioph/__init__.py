@@ -7,13 +7,13 @@ __version__ = "0.1.0"
 from . import bounds, charfn, dioph, distkit, edgeworth, rates
 from .dioph import AlphaSpec
 from .distkit import DiscreteDist, kolmogorov_distance, moments, zn_dist
-from .edgeworth import EdgeworthParams, NormalComparison, EdgeworthComparison
+from .edgeworth import EdgeworthParams, EdgeworthComparison
 from .charfn import CharSpec
 
 __all__ = [
     "__version__",
     "AlphaSpec", "CharSpec", "DiscreteDist",
-    "EdgeworthParams", "NormalComparison", "EdgeworthComparison",
+    "EdgeworthParams", "EdgeworthComparison",
     "kolmogorov_distance", "moments", "zn_dist",
     "bounds", "charfn", "dioph", "distkit", "edgeworth", "rates",
 ]

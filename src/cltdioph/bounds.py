@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -235,10 +235,8 @@ def prop51_check(base: DiscreteDist, n_list, p: float, q: float,
     return Prop51Report(tuple(rows), symmetric, spread)
 
 
-def write_report_json(path, records) -> None:
-    """One JSON document with a list of report records (dicts or
-    dataclasses)."""
-    payload = [asdict(r) if is_dataclass(r) else r for r in records]
+def write_report_json(path, records: list[dict]) -> None:
+    """One JSON document with a list of report records."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
+        json.dump(records, fh, indent=1)
         fh.write("\n")

@@ -76,7 +76,7 @@ def cmd_delta(args) -> int:
 def cmd_sweep(args) -> int:
     base = bernoulli_base(CharSpec.parse(args.base))
     ns = _n_list(args.n)
-    sweep = rates.delta_sweep(base, ns, base_label=args.base)
+    sweep = rates.delta_sweep(base, ns)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "sweep.csv"

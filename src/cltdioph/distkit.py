@@ -116,22 +116,6 @@ class DiscreteDist:
         i = np.searchsorted(self.positions, x, side="left")
         return float(self._cum[i - 1]) if i > 0 else 0.0
 
-    def serialize_csv(self, path) -> None:
-        """CSV dump: position,weight[,coords...] with 17 significant digits."""
-        with open(path, "w") as fh:
-            if self.lattice is not None:
-                m = self.lattice.m
-                cols = ",".join(f"c{j}" for j in range(m + 1))
-                fh.write(f"position,weight,{cols}\n")
-                for x, w, row in zip(self.positions, self.weights,
-                                     self.lattice.coords):
-                    coords = ",".join(str(int(v)) for v in row)
-                    fh.write(f"{x:.17g},{w:.17g},{coords}\n")
-            else:
-                fh.write("position,weight\n")
-                for x, w in zip(self.positions, self.weights):
-                    fh.write(f"{x:.17g},{w:.17g}\n")
-
 
 def _merge_atoms(positions, weights, lattice):
     """Merge coincident atoms after sorting.
@@ -499,10 +483,8 @@ def kolmogorov_distance(d: DiscreteDist, G) -> KolmogorovResult:
     best = KolmogorovResult(float(right[i_r]), float(x[i_r]), "right")
     if left[i_l] > best.delta:
         best = KolmogorovResult(float(left[i_l]), float(x[i_l]), "left")
-    for s in getattr(G, "stationary_points", lambda: [])():
-        idx = int(np.searchsorted(x, s, side="right"))
-        f_val = float(cum[idx - 1]) if idx > 0 else 0.0
-        v = abs(f_val - float(G(s)))
+    for s in G.stationary_points():
+        v = abs(d.cdf(s) - float(G(s)))
         if v > best.delta:
             best = KolmogorovResult(v, float(s), "right")
     return best._replace(error_bound=d.tail_mass)

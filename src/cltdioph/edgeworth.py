@@ -167,38 +167,15 @@ def fs_transform(d: DiscreteDist, t: float) -> complex:
 # comparison functions (for kolmogorov_distance and the bound suite)
 
 
-class NormalComparison:
-    """Standard normal CDF as a comparison function."""
-
-    envelope = NORMAL_ENVELOPE
-    second_moment = 1.0
-    support_radius = None
-
-    def __call__(self, x):
-        return std_normal_cdf(x)
-
-    def derivative(self, x):
-        return std_normal_pdf(x)
-
-    def stationary_points(self):
-        return []
-
-
 class EdgeworthComparison:
-    """Third-order corrected CDF Phi3 as a comparison function."""
-
-    envelope = EDGEWORTH_ENVELOPE
-    second_moment = 1.0  # the skewness correction has zero second moment
-    support_radius = None
+    """Third-order corrected CDF Phi3 as a comparison function G; the
+    normal CDF is Phi3 with alpha3 = 0."""
 
     def __init__(self, params: EdgeworthParams):
         self.params = params
 
     def __call__(self, x):
         return phi3(x, self.params)
-
-    def derivative(self, x):
-        return phi3_deriv(x, self.params)
 
     def stationary_points(self):
         return phi3_stationary_points(self.params)
@@ -209,7 +186,7 @@ def comparison_for(target: str, base: DiscreteDist, n: int):
     (``"phi"``) or its Edgeworth correction Phi3 (``"phi3"``), whose
     parameters come from the moments of ``base``."""
     if target == "phi":
-        return NormalComparison()
+        return EdgeworthComparison(EdgeworthParams(0.0, 1.0, n))
     if target == "phi3":
         return EdgeworthComparison(EdgeworthParams.from_dist(base, n))
     raise ValueError(f"unknown comparison target {target!r}")
@@ -232,13 +209,6 @@ def w1_bound(delta: float, env: TailEnvelope) -> float:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
     return (16.02 * math.sqrt(env.A * env.B) * delta
             * math.sqrt(math.log(math.e + 1.0 / delta)))
-
-
-def w1_bound_compact(a: float, delta: float) -> float:
-    """4 pi a Delta: W1 bound when G is supported on [-a, a]."""
-    if a <= 0 or delta < 0:
-        raise ValueError("need a > 0 and delta >= 0")
-    return 4.0 * math.pi * a * delta
 
 
 def cf_deviation_bound(t: float, delta_n: float, symmetric: bool = False) -> float:
@@ -265,25 +235,18 @@ def _sup_weighted_tail(G, a: float) -> float:
 def lemma31_bound(d: DiscreteDist, G, a: float, delta: float) -> float:
     """Explicit non-uniform bound 4a^2 Delta + tail integral + tail sup.
 
-    Requires F and G to share their second moment (within 1e-9).  When G
-    is supported inside [-a, a] the bound collapses to 4 a^2 Delta.
+    Requires F to have second moment 1 (within 1e-9), as every G has: the
+    skewness correction of Phi3 has zero second moment.  The
+    tail integral of x^2 dG is the Gaussian closed form, because the odd
+    correction cancels over the symmetric region |x| >= a.
     """
     if a <= 0:
         raise ValueError("a must be positive")
     m2_f = moments(d).sigma2 + moments(d).mean ** 2
-    if abs(m2_f - G.second_moment) > 1e-9:
-        raise MomentMismatch(
-            f"second moments differ: F has {m2_f}, G has {G.second_moment}")
-    if G.support_radius is not None and G.support_radius <= a:
-        return 4.0 * a * a * delta
-    # tail integral of x^2 dG: for Phi and Phi3 the odd correction cancels
-    # over the symmetric region, leaving the Gaussian closed form
-    if isinstance(G, (NormalComparison, EdgeworthComparison)):
-        tail_int = _gaussian_tail_x2(a)
-    else:
-        tail_int = (quad(lambda x: x * x * G.derivative(x), a, np.inf)[0]
-                    + quad(lambda x: x * x * G.derivative(x), -np.inf, -a)[0])
-    return 4.0 * a * a * delta + tail_int + _sup_weighted_tail(G, a)
+    if abs(m2_f - 1.0) > 1e-9:
+        raise MomentMismatch(f"F has second moment {m2_f}, not 1")
+    return (4.0 * a * a * delta + _gaussian_tail_x2(a)
+            + _sup_weighted_tail(G, a))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +268,7 @@ def w1_exact(d: DiscreteDist, G, abs_tol: float = 1e-10) -> float:
     # right tail: F = 1
     total += quad(lambda s: abs(1.0 - float(G(s))), x[-1], np.inf,
                   epsabs=abs_tol / 4)[0]
-    stationary = list(getattr(G, "stationary_points", lambda: [])())
+    stationary = G.stationary_points()
     for i in range(len(x) - 1):
         lo, hi = float(x[i]), float(x[i + 1])
         if hi - lo <= 0:

@@ -28,16 +28,11 @@ class SweepRow:
     delta_phi: float
     delta_phi3: Optional[float]
     argmax: float
-    p_zero: float  # mass of the atom at 0, a distance lower bound via /2
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    base: str
     rows: tuple[SweepRow, ...]
-    sigma2: float
-    alpha3: float
-    beta4: float
 
     def __post_init__(self):
         ns = [r.n for r in self.rows]
@@ -48,12 +43,8 @@ class SweepResult:
                 raise ValueError(f"delta out of (0, 1] at n={r.n}")
 
     def write_csv(self, out) -> None:
-        """Write the rows as CSV to a path, or to an open text file after
-        whatever the caller wrote there first."""
-        if not hasattr(out, "write"):
-            with open(out, "w", newline="") as fh:
-                self.write_csv(fh)
-            return
+        """Write the rows as CSV to an open text file, after whatever the
+        caller wrote there first."""
         w = csv.writer(out)
         w.writerow(["n", "delta_phi", "delta_phi3", "argmax"])
         for r in self.rows:
@@ -73,12 +64,10 @@ class RateFit:
     constrained_logpow: Optional[float] = None
 
 
-def delta_sweep(base: DiscreteDist, n_list,
-                base_label: str = "") -> SweepResult:
+def delta_sweep(base: DiscreteDist, n_list) -> SweepResult:
     """Exact Kolmogorov distances of Z_n to the normal CDF (and to the
     skewness-corrected CDF for asymmetric bases) over the given n values."""
-    m = moments(base)
-    skewed = abs(m.alpha3) > 1e-12
+    skewed = abs(moments(base).alpha3) > 1e-12
     rows = []
     for n in n_list:
         n = int(n)
@@ -87,12 +76,9 @@ def delta_sweep(base: DiscreteDist, n_list,
         d3 = None
         if skewed:
             d3 = kolmogorov_distance(z, comparison_for("phi3", base, n)).delta
-        at_zero = np.abs(z.positions) < 1e-15
-        p_zero = float(np.sum(z.weights[at_zero]))
         rows.append(SweepRow(n=n, delta_phi=res.delta, delta_phi3=d3,
-                             argmax=res.argmax, p_zero=p_zero))
-    return SweepResult(base=base_label or repr(base), rows=tuple(rows),
-                       sigma2=m.sigma2, alpha3=m.alpha3, beta4=m.beta4)
+                             argmax=res.argmax))
+    return SweepResult(tuple(rows))
 
 
 def _fit(ns, deltas, eta_hint: Optional[float] = None,
@@ -195,7 +181,7 @@ def compare_16_vs_17(alpha: AlphaSpec, n_list_delta,
     if n_list_dstar is None:
         n_list_dstar = n_list_delta
     base = product_bernoulli([alpha])
-    sweep = delta_sweep(base, n_list_delta, base_label=f"b1*b_{alpha}")
+    sweep = delta_sweep(base, n_list_delta)
     delta_rows = tuple((r.n, r.delta_phi) for r in sweep.rows)
     dstar_rows = tuple((int(n), star_discrepancy(alpha, int(n)))
                        for n in n_list_dstar)

@@ -17,7 +17,7 @@ from cltdioph import distkit as K
 from cltdioph import rates as R
 from cltdioph.dioph import AlphaSpec
 from cltdioph.edgeworth import EDGEWORTH_ENVELOPE, NORMAL_ENVELOPE, \
-    EdgeworthComparison, EdgeworthParams, NormalComparison, \
+    EdgeworthComparison, EdgeworthParams, comparison_for, \
     cf_deviation_bound, fs_transform, nonuniform_bound, phi3_fourier, \
     w1_bound, w1_exact
 
@@ -69,10 +69,10 @@ def test_criterion_01_exact_distance_oracle():
         "mix_half_sqrt2": K.mixture_bernoulli([0.5, 0.5], [SQRT2]),
     }
     worst = 0.0
-    G = NormalComparison()
     for name, base in bases.items():
         for n in (1, 2, 4, 8):
             z = K.zn_dist(base, n)
+            G = comparison_for("phi", base, n)
             got = K.kolmogorov_distance(z, G).delta
             worst = max(worst, abs(got - oracle_kolmogorov(z, G)))
     assert verdict("criterion 01 exact distances match grid+atom oracle",
@@ -80,8 +80,9 @@ def test_criterion_01_exact_distance_oracle():
 
 
 def test_criterion_02_n1_closed_form():
-    got = K.kolmogorov_distance(K.zn_dist(K.bernoulli_pm(1), 1),
-                                NormalComparison()).delta
+    base = K.bernoulli_pm(1)
+    got = K.kolmogorov_distance(K.zn_dist(base, 1),
+                                comparison_for("phi", base, 1)).delta
     want = 0.5 - ndtr(-1.0)
     assert verdict("criterion 02 Delta_1(B1) = 1/2 - Phi(-1)",
                    abs(got - want) < 1e-12, f"got {got:.15f}")
@@ -110,9 +111,9 @@ def test_criterion_03_inequality_suites():
     sym = K.product_bernoulli([SQRT2])
     for n in (16, 64, 256):
         z = K.zn_dist(sym, n)
-        delta = K.kolmogorov_distance(z, NormalComparison()).delta
-        if sup_x2_gap(z, NormalComparison()) \
-                > nonuniform_bound(delta, NORMAL_ENVELOPE):
+        G = comparison_for("phi", sym, n)
+        delta = K.kolmogorov_distance(z, G).delta
+        if sup_x2_gap(z, G) > nonuniform_bound(delta, NORMAL_ENVELOPE):
             failures.append(f"x^2 gap vs normal at n={n}")
         p = EdgeworthParams.from_dist(sym, n)
         G3 = EdgeworthComparison(p)
@@ -123,15 +124,15 @@ def test_criterion_03_inequality_suites():
     # exact W1 against its Kolmogorov-controlled bound
     for n in (16, 64):
         z = K.zn_dist(sym, n)
-        delta = K.kolmogorov_distance(z, NormalComparison()).delta
-        if w1_exact(z, NormalComparison()) \
-                > w1_bound(delta, NORMAL_ENVELOPE):
+        G = comparison_for("phi", sym, n)
+        delta = K.kolmogorov_distance(z, G).delta
+        if w1_exact(z, G) > w1_bound(delta, NORMAL_ENVELOPE):
             failures.append(f"W1 bound at n={n}")
 
     # transform deviation bound on t in [-30, 30]
     for n in (16, 64, 256):
         z = K.zn_dist(sym, n)
-        delta = K.kolmogorov_distance(z, NormalComparison()).delta
+        delta = K.kolmogorov_distance(z, comparison_for("phi", sym, n)).delta
         for t in np.linspace(-30.0, 30.0, 2401):
             t = float(t)
             gap = abs(fs_transform(z, t) - math.exp(-t * t / 2.0))

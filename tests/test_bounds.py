@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -162,8 +163,9 @@ class TestLemma21:
             T, _, _ = B.prop22_cutoff(2.0, 0.0, n, 1.0)
             rep = B.lemma21_rhs(base, n, max(T, 1.0))
             z = K.zn_dist(base, n)
-            from cltdioph.edgeworth import NormalComparison
-            delta = K.kolmogorov_distance(z, NormalComparison()).delta
+            from cltdioph.edgeworth import comparison_for
+            delta = K.kolmogorov_distance(
+                z, comparison_for("phi", base, n)).delta
             ratios.append(rep.rhs_total / delta)
         assert max(ratios) / min(ratios) < 6.0
 
@@ -224,9 +226,9 @@ class TestProp51:
     def test_rows_carry_exact_deltas(self):
         base = K.product_bernoulli([SQRT2])
         rep = B.prop51_check(base, [64], 2.0, 0.0)
-        from cltdioph.edgeworth import NormalComparison
+        from cltdioph.edgeworth import comparison_for
         want = K.kolmogorov_distance(K.zn_dist(base, 64),
-                                     NormalComparison()).delta
+                                     comparison_for("phi", base, 64)).delta
         assert rep.rows[0].delta_n == pytest.approx(want, abs=0)
 
 
@@ -234,7 +236,7 @@ def test_write_report_json(tmp_path):
     base = K.product_bernoulli([SQRT2])
     reps = [B.lemma21_rhs(base, n, 8.0) for n in (16, 32)]
     path = tmp_path / "sweep.json"
-    B.write_report_json(path, reps)
+    B.write_report_json(path, [asdict(r) for r in reps])
     loaded = json.loads(path.read_text())
     assert len(loaded) == 2
     assert loaded[0]["n"] == 16

@@ -367,17 +367,6 @@ class TestKolmogorovDistance:
         assert abs(res.delta - grid_oracle(d, PhiFn())) < 1e-12
 
 
-def test_serialize_csv(tmp_path):
-    d = K.product_bernoulli([SQRT2])
-    path = tmp_path / "dist.csv"
-    d.serialize_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "position,weight,c0,c1"
-    assert len(lines) == 5
-    pos = [float(l.split(",")[0]) for l in lines[1:]]
-    assert pos == sorted(pos)
-
-
 def test_exact_rational_mode_mass():
     exact = K.zn_dist_exact([SQRT2], 12)
     assert sum(exact.values()) == Fraction(1)

@@ -246,9 +246,6 @@ class TestClosedFormBounds:
         assert abs(got - want) < 1e-12
         assert abs(got - 0.3448) < 5e-4
 
-    def test_w1_compact(self):
-        assert abs(E.w1_bound_compact(1.0, 0.1) - 0.4 * math.pi) < 1e-15
-
     def test_cf_deviation_values(self):
         got = E.cf_deviation_bound(1.0, 0.1)
         assert abs(got - 24.2 * 0.1 * math.sqrt(math.log(math.e + 10.0))) < 1e-12
@@ -274,22 +271,10 @@ class TestClosedFormBounds:
 
 
 class TestLemma31:
-    def test_compact_support_shortcut(self):
-        class CompactG:
-            second_moment = 1.0
-            support_radius = 2.0
-
-            def derivative(self, x):
-                return 0.0
-
-        d = K.DiscreteDist(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
-        assert E.lemma31_bound(d, CompactG(), 3.0, 0.1) \
-            == pytest.approx(4 * 9 * 0.1)
-
     def test_moment_mismatch(self):
         d = K.DiscreteDist(np.array([-2.0, 2.0]), np.array([0.5, 0.5]))
         with pytest.raises(MomentMismatch):
-            E.lemma31_bound(d, E.NormalComparison(), 3.0, 0.1)
+            E.lemma31_bound(d, E.comparison_for("phi", d, 1), 3.0, 0.1)
 
     def test_gaussian_tail_closed_form_vs_quadrature(self):
         for a in (1.0, 2.0, 3.5):
@@ -298,11 +283,13 @@ class TestLemma31:
             assert abs(E._gaussian_tail_x2(a) - ref) < 1e-12
 
     def test_b1_zn4_summands(self):
-        d = K.zn_dist(K.bernoulli_pm(1), 4)
-        G = E.NormalComparison()
+        base = K.bernoulli_pm(1)
+        d = K.zn_dist(base, 4)
+        G = E.comparison_for("phi", base, 4)
         delta = K.kolmogorov_distance(d, G).delta
         a = 3.0
         got = E.lemma31_bound(d, G, a, delta)
+        assert got == 6.791439968819559
         tail_int = 2 * quad(lambda x: x * x * E.std_normal_pdf(x),
                             a, np.inf)[0]
         xs = np.linspace(a, 60, 50001)
@@ -331,21 +318,22 @@ def riemann_w1(d, G, lo=-15.0, hi=15.0, points=10 ** 7):
 class TestW1Exact:
     def test_bernoulli_vs_riemann_oracle(self):
         d = K.bernoulli_pm(1)
-        G = E.NormalComparison()
+        G = E.comparison_for("phi", d, 1)
         assert abs(E.w1_exact(d, G) - riemann_w1(d, G)) < 1e-5
 
     def test_zn_vs_riemann_oracle(self):
-        d = K.zn_dist(K.product_bernoulli([SQRT2]), 4)
-        G = E.NormalComparison()
+        base = K.product_bernoulli([SQRT2])
+        d = K.zn_dist(base, 4)
+        G = E.comparison_for("phi", base, 4)
         assert abs(E.w1_exact(d, G) - riemann_w1(d, G)) < 1e-5
 
     def test_bound_41_holds(self):
         base = K.product_bernoulli([SQRT2])
-        G = E.NormalComparison()
         for n in (2, 4, 8, 16):
             d = K.zn_dist(base, n)
+            G = E.comparison_for("phi", base, n)
             delta = K.kolmogorov_distance(d, G).delta
-            assert E.w1_exact(d, G) <= E.w1_bound(delta, G.envelope)
+            assert E.w1_exact(d, G) <= E.w1_bound(delta, E.NORMAL_ENVELOPE)
 
     def test_edgeworth_target(self):
         d = K.zn_dist(K.DiscreteDist(np.array([-1.0, 2.0]),
@@ -375,7 +363,7 @@ class TestEmpiricalInequalities:
             idx = np.searchsorted(d.positions, xs, side="right")
             f = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
             sup = np.max(xs ** 2 * np.abs(f - E.phi3(xs, p)))
-            assert sup <= E.nonuniform_bound(delta, G.envelope)
+            assert sup <= E.nonuniform_bound(delta, E.EDGEWORTH_ENVELOPE)
 
     def test_cf_deviation_43(self):
         for n in (8, 16, 32):
@@ -395,10 +383,10 @@ class TestEmpiricalInequalities:
 
     def test_cf_deviation_symmetric_variant(self):
         base = K.product_bernoulli([SQRT2])
-        G = E.NormalComparison()
         for n in (4, 16):
             d = K.zn_dist(base, n)
-            delta = K.kolmogorov_distance(d, G).delta
+            delta = K.kolmogorov_distance(
+                d, E.comparison_for("phi", base, n)).delta
             for t in np.linspace(-30, 30, 121):
                 if t == 0.0:
                     continue
@@ -411,8 +399,10 @@ class TestEmpiricalInequalities:
 class TestComparisonApi:
     def test_factory(self):
         base = K.DiscreteDist(np.array([-1.0, 2.0]), np.array([2 / 3, 1 / 3]))
-        assert isinstance(E.comparison_for("phi", base, 16),
-                          E.NormalComparison)
+        phi = E.comparison_for("phi", base, 16)
+        xs = np.linspace(-8.0, 8.0, 1001)
+        assert np.array_equal(phi(xs), E.std_normal_cdf(xs))
+        assert phi.stationary_points() == []
         G = E.comparison_for("phi3", base, 16)
         assert isinstance(G, E.EdgeworthComparison)
         assert G.params == E.EdgeworthParams.from_dist(base, 16)
@@ -434,3 +424,17 @@ class TestComparisonApi:
         f = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
         brute = np.max(np.abs(f - np.asarray(G(xs))))
         assert res.delta >= brute - 1e-10
+
+    @pytest.mark.parametrize("n, target, delta, argmax", [
+        (64, "phi", 0.05871755863273537, -0.08838834764831843),
+        (64, "phi3", 0.05290923082225257, -0.08838834764831843),
+        (8, "phi3", 0.14868172754010922, None),
+    ])
+    def test_skewed_base_distances(self, n, target, delta, argmax):
+        # pins the a != 0 path of Phi3 on the one skewed base at hand
+        base = K.DiscreteDist(np.array([-1.0, 2.0]), np.array([2 / 3, 1 / 3]))
+        res = K.kolmogorov_distance(K.zn_dist(base, n),
+                                    E.comparison_for(target, base, n))
+        assert res.delta == delta
+        if argmax is not None:
+            assert (res.argmax, res.side) == (argmax, "right")

@@ -15,11 +15,9 @@ GOLDEN = AlphaSpec.surd(1, 1, 2, 5)
 
 
 def synthetic_sweep(ns, deltas):
-    rows = tuple(R.SweepRow(n=n, delta_phi=d, delta_phi3=None, argmax=0.0,
-                            p_zero=0.0)
-                 for n, d in zip(ns, deltas))
-    return R.SweepResult(base="synthetic", rows=rows,
-                         sigma2=1.0, alpha3=0.0, beta4=1.0)
+    return R.SweepResult(tuple(
+        R.SweepRow(n=n, delta_phi=d, delta_phi3=None, argmax=0.0)
+        for n, d in zip(ns, deltas)))
 
 
 class TestDeltaSweep:
@@ -30,8 +28,9 @@ class TestDeltaSweep:
     def test_matches_direct_computation(self):
         base = K.product_bernoulli([SQRT2])
         sweep = R.delta_sweep(base, [16])
-        from cltdioph.edgeworth import NormalComparison
-        want = K.kolmogorov_distance(K.zn_dist(base, 16), NormalComparison())
+        from cltdioph.edgeworth import comparison_for
+        want = K.kolmogorov_distance(K.zn_dist(base, 16),
+                                     comparison_for("phi", base, 16))
         assert sweep.rows[0].delta_phi == want.delta
         assert sweep.rows[0].argmax == want.argmax
 
@@ -42,8 +41,10 @@ class TestDeltaSweep:
         sweep = R.delta_sweep(base, [4, 8, 16, 32])
         for row in sweep.rows:
             n = row.n
+            z = K.zn_dist(base, n)
             want = (math.comb(n, n // 2) / 2 ** n) ** 2
-            assert row.p_zero == pytest.approx(want, rel=1e-12)
+            assert z.cdf(0.0) - z.cdf_left(0.0) == pytest.approx(want,
+                                                                 rel=1e-12)
             assert row.delta_phi >= want / 2
 
     def test_phi3_column_for_asymmetric_base(self):
@@ -57,11 +58,6 @@ class TestDeltaSweep:
     def test_symmetric_base_skips_phi3(self):
         sweep = R.delta_sweep(K.product_bernoulli([SQRT2]), [8])
         assert sweep.rows[0].delta_phi3 is None
-
-    def test_metadata(self):
-        sweep = R.delta_sweep(K.product_bernoulli([SQRT2]), [4])
-        assert sweep.sigma2 == pytest.approx(3.0)
-        assert abs(sweep.alpha3) < 1e-12
 
     def test_rejects_non_increasing_n(self):
         with pytest.raises(ValueError):
@@ -131,7 +127,7 @@ class TestAvgDelta:
         # the exact integer-lattice construction agrees with the generic
         # tolerance-merging convolution pipeline on small n
         avg, _ = R.avg_delta(16, 2)
-        from cltdioph.edgeworth import NormalComparison
+        from cltdioph.edgeworth import comparison_for
         total = 0.0
         for num in (1, 3):
             a = num / 4
@@ -139,7 +135,8 @@ class TestAvgDelta:
                 np.array(sorted([-1 - a, -1 + a, 1 - a, 1 + a])),
                 np.full(4, 0.25))
             z = K.zn_dist(base, 16)
-            total += K.kolmogorov_distance(z, NormalComparison()).delta
+            total += K.kolmogorov_distance(
+                z, comparison_for("phi", base, 16)).delta
         assert avg == pytest.approx(total / 2, rel=1e-9)
 
 
@@ -190,7 +187,8 @@ class TestSerialization:
     def test_sweep_csv(self, tmp_path):
         sweep = R.delta_sweep(K.product_bernoulli([SQRT2]), [4, 8])
         path = tmp_path / "sweep.csv"
-        sweep.write_csv(path)
+        with open(path, "w", newline="") as fh:
+            sweep.write_csv(fh)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "n,delta_phi,delta_phi3,argmax"
         assert len(lines) == 3
