@@ -10,7 +10,6 @@ constant times t n^(-1/p) (log(n+1))^(q+1/2).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -19,7 +18,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .distkit import DiscreteDist, kolmogorov_distance, moments, zn_dist
-from .edgeworth import comparison_for, fs_transform
+from .edgeworth import cf_deviation_bound, comparison_for, fs_transform
 from .errors import InadmissibleT, QuadratureFailure
 
 _MAX_EVALS = 10 ** 6
@@ -43,7 +42,6 @@ class Lemma21Report:
     T: float
     T0: float
     n: int
-    admissible: bool
     non_decaying_tail: bool
 
 
@@ -65,7 +63,8 @@ class _CountingFn:
 
 def _panelized_quad(h: Callable[[float], float], lo: float, hi: float,
                     breakpoints, epsabs: float) -> tuple[float, float]:
-    """Sum of adaptive panels split at the given interior breakpoints."""
+    """Sum of adaptive panels split at the given interior breakpoints;
+    raises QuadratureFailure if the error estimate exceeds 1e-9 (1 + |sum|)."""
     cuts = [lo] + [b for b in sorted(set(breakpoints)) if lo < b < hi] + [hi]
     total = 0.0
     err = 0.0
@@ -74,12 +73,14 @@ def _panelized_quad(h: Callable[[float], float], lo: float, hi: float,
                     limit=200)
         total += v
         err += e
+    if err > 1e-9 * (1.0 + abs(total)):
+        raise QuadratureFailure(
+            f"error estimate {err} exceeds target for integral {total}")
     return total, err
 
 
 def smoothing_rhs(f: Callable[[float], complex], g: Callable[[float], complex],
-                  T: float, D: float,
-                  breakpoints=()) -> SmoothingReport:
+                  T: float, D: float) -> SmoothingReport:
     """Integral of |f(t) - g(t)|/t over (0, T] plus D/T.
 
     The integrand is bounded at 0 because both transforms equal 1 there;
@@ -96,11 +97,7 @@ def smoothing_rhs(f: Callable[[float], complex], g: Callable[[float], complex],
             t = 1e-300
         return abs(counted_f(t) - counted_g(t)) / t
 
-    target = 1e-10
-    integral, err = _panelized_quad(h, 0.0, T, breakpoints, target)
-    if err > 1e-9 * (1.0 + abs(integral)):
-        raise QuadratureFailure(
-            f"error estimate {err} exceeds target for integral {integral}")
+    integral, err = _panelized_quad(h, 0.0, T, (), 1e-10)
     dt_term = D / T
     return SmoothingReport(integral, dt_term, T, integral + dt_term, err)
 
@@ -155,7 +152,6 @@ def lemma21_rhs(base: DiscreteDist, n: int, T: float) -> Lemma21Report:
         T=T,
         T0=t0,
         n=n,
-        admissible=True,
         non_decaying_tail=non_decaying,
     )
 
@@ -204,13 +200,11 @@ def prop51_check(base: DiscreteDist, n_list, p: float, q: float,
     when Delta_n follows the assumed rate.
     """
     symmetric = abs(moments(base).alpha3) < 1e-12
-    const = 16.02 if symmetric else 24.2
     target = "phi" if symmetric else "phi3"
     rows = []
     for n in n_list:
         z = zn_dist(base, n)
         delta = kolmogorov_distance(z, comparison_for(target, base, n)).delta
-        log_fac = math.sqrt(math.log(math.e + 1.0 / delta))
         grid = t_grid if t_grid is not None \
             else np.linspace(math.sqrt(n), 4.0 * math.sqrt(n), 200)
         violations = 0
@@ -219,7 +213,7 @@ def prop51_check(base: DiscreteDist, n_list, p: float, q: float,
             t = float(t)
             fn = abs(fs_transform(z, t))
             bound = 1.3 * math.exp(-t * t / 8.0) \
-                + const * abs(t) * delta * log_fac
+                + cf_deviation_bound(t, delta, symmetric)
             if fn > bound + 1e-12:
                 violations += 1
             if t >= math.sqrt(n):
@@ -234,9 +228,3 @@ def prop51_check(base: DiscreteDist, n_list, p: float, q: float,
     spread = max(fits) / min(fits) if fits else math.inf
     return Prop51Report(tuple(rows), symmetric, spread)
 
-
-def write_report_json(path, records: list[dict]) -> None:
-    """One JSON document with a list of report records."""
-    with open(path, "w") as fh:
-        json.dump(records, fh, indent=1)
-        fh.write("\n")

@@ -69,21 +69,16 @@ def frac_dist(x: float) -> float:
 
 @dataclass(frozen=True)
 class CharSpec:
-    """Product or mixture of cosines over (1, alpha_1, ..., alpha_m)."""
+    """Product (``weights is None``) or mixture of cosines over
+    (1, alpha_1, ..., alpha_m)."""
 
-    form: str
     alphas: tuple[AlphaSpec, ...]
     weights: Optional[tuple[float, ...]] = None
     _alpha_ld: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.form not in ("product", "mixture"):
-            raise ValueError(f"unknown form {self.form!r}")
-        if self.form == "product":
-            if self.weights is not None:
-                raise ValueError("product form takes no weights")
-        else:
-            if self.weights is None or len(self.weights) != len(self.alphas) + 1:
+        if self.weights is not None:
+            if len(self.weights) != len(self.alphas) + 1:
                 raise ValueError("mixture needs weights p0..pm")
             if any(p <= 0 for p in self.weights):
                 raise ValueError("mixture weights must be positive")
@@ -95,11 +90,11 @@ class CharSpec:
 
     @classmethod
     def product(cls, alphas) -> "CharSpec":
-        return cls("product", tuple(alphas))
+        return cls(tuple(alphas))
 
     @classmethod
     def mixture(cls, weights, alphas) -> "CharSpec":
-        return cls("mixture", tuple(alphas), tuple(float(p) for p in weights))
+        return cls(tuple(alphas), tuple(float(p) for p in weights))
 
     @classmethod
     def parse(cls, text: str) -> "CharSpec":
@@ -131,7 +126,7 @@ def _split_alphas(body: str) -> list[str]:
 
 def eval(spec: CharSpec, t: float) -> float:  # noqa: A001 (domain name)
     t = float(t)
-    if spec.form == "product":
+    if spec.weights is None:
         val = math.cos(t)
         for a, a_ld in zip(spec.alphas, spec._alpha_ld):
             val *= _cos_scaled(a, a_ld, t)
@@ -158,7 +153,7 @@ class Ineq61Result(NamedTuple):
     passed: bool
 
 
-def ineq61_check(x: float, slack: float = 1e-12) -> Ineq61Result:
+def ineq61_check(x: float) -> Ineq61Result:
     d = frac_dist(x)
     c = abs(math.cos(math.pi * x))
     one_minus = 1.0 - c
@@ -166,7 +161,7 @@ def ineq61_check(x: float, slack: float = 1e-12) -> Ineq61Result:
     m2 = one_minus - 4.0 * d * d
     m3 = (math.pi ** 2 / 2.0) * d * d - one_minus
     return Ineq61Result(m1, m2, m3,
-                        m1 >= -slack and m2 >= -slack and m3 >= -slack)
+                        min(m1, m2, m3) >= -1e-12)
 
 
 def lemma61_lower(alphas, t: float,
@@ -226,7 +221,7 @@ def growth_fit(spec: CharSpec, t_max: float, n_peaks: int = 8) -> GrowthFit:
         raise ValueError("t_max must exceed 10")
     if n_peaks < 8:
         raise ValueError("n_peaks must be at least 8")
-    if spec.form == "product" and not spec.alphas:
+    if spec.weights is None and not spec.alphas:
         # pure cos(t): |f(pi n)| = 1 exactly, no growth law to fit
         return GrowthFit(math.nan, None, (), math.nan, degenerate=True)
 

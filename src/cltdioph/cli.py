@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 configuration error, 3 resource or precision
 exhaustion, 4 internal error. All floating output uses 17 significant
-digits and generated files carry a config-hash header line.
+digits. Only this module writes files; sweep.csv starts with a
+config-hash header line and the delta JSON has the hash under "config".
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from .distkit import bernoulli_base, kolmogorov_distance, zn_dist
 # entry points, and tests/test_bench_layers.py checks that the name exists
 from .distkit import moments  # noqa: F401
 from .edgeworth import comparison_for
-from .errors import InsufficientPeaks, PrecisionExhausted, \
-    QuadratureFailure, SupportOverflow
+from .errors import PrecisionExhausted, QuadratureFailure, SupportOverflow
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,6 +50,10 @@ def _header_line(args: argparse.Namespace) -> str:
     return f"# config={_config_hash(args)} cltdioph={__version__}"
 
 
+def _write_json(path, obj) -> None:
+    Path(path).write_text(json.dumps(obj, indent=1) + "\n")
+
+
 def _n_list(text: str) -> list[int]:
     ns = [int(part) for part in text.split(",") if part]
     if not ns or any(n < 1 for n in ns):
@@ -69,7 +73,7 @@ def cmd_delta(args) -> int:
                    "side": res.side, "error_bound": res.error_bound,
                    "target": args.target,
                    "base": args.base, "config": _config_hash(args)}
-        Path(args.out).write_text(json.dumps(payload, indent=1) + "\n")
+        _write_json(args.out, payload)
     return EXIT_OK
 
 
@@ -82,7 +86,12 @@ def cmd_sweep(args) -> int:
     path = out_dir / "sweep.csv"
     with open(path, "w", newline="") as fh:
         fh.write(_header_line(args) + "\n")
-        sweep.write_csv(fh)
+        w = csv.writer(fh)
+        w.writerow(["n", "delta_phi", "delta_phi3", "argmax"])
+        for r in sweep.rows:
+            w.writerow([r.n, _fmt(r.delta_phi),
+                        "" if r.delta_phi3 is None else _fmt(r.delta_phi3),
+                        _fmt(r.argmax)])
     for r in sweep.rows:
         print(f"{r.n} {_fmt(r.delta_phi)}")
     print(f"wrote {path}")
@@ -99,14 +108,14 @@ def cmd_fit(args) -> int:
         for row in reader:
             ns.append(int(row[n_col]))
             deltas.append(float(row[d_col]))
-    fit = rates._fit(ns, deltas, args.eta)
+    fit = rates.rate_fit(ns, deltas, args.eta)
     print(f"exponent {_fmt(fit.exponent)} logpow {_fmt(fit.logpow)} "
           f"r2 {_fmt(fit.r2)}")
     if fit.constrained_logpow is not None:
         print(f"constrained_exponent {_fmt(fit.constrained_exponent)} "
               f"constrained_logpow {_fmt(fit.constrained_logpow)}")
     if args.out:
-        rates.write_fit_json(args.out, fit)
+        _write_json(args.out, asdict(fit))
     return EXIT_OK
 
 
@@ -122,7 +131,9 @@ def cmd_disc(args) -> int:
     for n, d in rows:
         print(f"{n} {_fmt(d)}")
     if args.out:
-        rates.write_dstar_csv(args.out, rows)
+        with open(args.out, "w", newline="") as fh:
+            csv.writer(fh).writerows(
+                [("n", "dstar")] + [(n, _fmt(d)) for n, d in rows])
     return EXIT_OK
 
 
@@ -158,7 +169,7 @@ def cmd_bounds(args) -> int:
         print(f"{n} rhs {_fmt(rep.rhs_total)} delta {_fmt(delta)} "
               f"ratio {_fmt(ratio)}")
     if args.out:
-        bounds.write_report_json(args.out, records)
+        _write_json(args.out, records)
     return EXIT_OK
 
 
@@ -229,9 +240,6 @@ def main(argv=None) -> int:
     except (SupportOverflow, PrecisionExhausted, QuadratureFailure) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except InsufficientPeaks as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -242,7 +242,8 @@ def lemma31_bound(d: DiscreteDist, G, a: float, delta: float) -> float:
     """
     if a <= 0:
         raise ValueError("a must be positive")
-    m2_f = moments(d).sigma2 + moments(d).mean ** 2
+    m = moments(d)
+    m2_f = m.sigma2 + m.mean ** 2
     if abs(m2_f - 1.0) > 1e-9:
         raise MomentMismatch(f"F has second moment {m2_f}, not 1")
     return (4.0 * a * a * delta + _gaussian_tail_x2(a)
@@ -253,12 +254,13 @@ def lemma31_bound(d: DiscreteDist, G, a: float, delta: float) -> float:
 # exact Wasserstein-1 distance
 
 
-def w1_exact(d: DiscreteDist, G, abs_tol: float = 1e-10) -> float:
+def w1_exact(d: DiscreteDist, G) -> float:
     """int |F(x) - G(x)| dx for the step CDF F of d and continuous G.
 
     Splits at atoms and at sign changes of F - G inside each gap so every
     quadrature panel has a single-signed integrand.
     """
+    abs_tol = 1e-10  # split over the two tails and the gaps between atoms
     x = d.positions
     cum = np.concatenate(([0.0], np.asarray(d._cum, dtype=np.float64)))
     total = 0.0

@@ -22,7 +22,7 @@ class MomentMismatch(Exception):
     """Two distributions that must share a moment do not."""
 
 
-class InsufficientPeaks(Exception):
+class InsufficientPeaks(ValueError):
     """Peak scan found fewer usable local maxima than requested."""
 
 

@@ -7,10 +7,8 @@ estimated quantities are the regression coefficients.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -42,17 +40,6 @@ class SweepResult:
             if not 0.0 < r.delta_phi <= 1.0:
                 raise ValueError(f"delta out of (0, 1] at n={r.n}")
 
-    def write_csv(self, out) -> None:
-        """Write the rows as CSV to an open text file, after whatever the
-        caller wrote there first."""
-        w = csv.writer(out)
-        w.writerow(["n", "delta_phi", "delta_phi3", "argmax"])
-        for r in self.rows:
-            w.writerow([r.n, f"{r.delta_phi:.17g}",
-                        "" if r.delta_phi3 is None
-                        else f"{r.delta_phi3:.17g}",
-                        f"{r.argmax:.17g}"])
-
 
 @dataclass(frozen=True)
 class RateFit:
@@ -81,8 +68,8 @@ def delta_sweep(base: DiscreteDist, n_list) -> SweepResult:
     return SweepResult(tuple(rows))
 
 
-def _fit(ns, deltas, eta_hint: Optional[float] = None,
-         logpow: bool = True) -> RateFit:
+def rate_fit(ns, deltas, eta_hint: Optional[float] = None,
+             logpow: bool = True) -> RateFit:
     """Least-squares fit of log delta on log n, with a log log n column
     when ``logpow``.
 
@@ -114,19 +101,6 @@ def _fit(ns, deltas, eta_hint: Optional[float] = None,
                    logpow=float(coef[2]) if logpow else 0.0, r2=r2,
                    window=(int(min(ns)), int(max(ns))),
                    constrained_exponent=c_exp, constrained_logpow=c_logpow)
-
-
-def rate_fit(sweep: SweepResult, eta_hint: Optional[float] = None,
-             target: str = "phi") -> RateFit:
-    if target == "phi":
-        deltas = [r.delta_phi for r in sweep.rows]
-    elif target == "phi3":
-        deltas = [r.delta_phi3 for r in sweep.rows]
-        if any(d is None for d in deltas):
-            raise ValueError("sweep has no corrected-CDF column")
-    else:
-        raise ValueError(f"unknown target {target!r}")
-    return _fit([r.n for r in sweep.rows], deltas, eta_hint)
 
 
 def avg_delta(n: int, grid_size: int) -> tuple[float, float]:
@@ -187,23 +161,11 @@ def compare_16_vs_17(alpha: AlphaSpec, n_list_delta,
                        for n in n_list_dstar)
     return ComparisonReport(
         alpha=str(alpha),
-        delta_fit=rate_fit(sweep),
-        dstar_fit=_fit([n for n, _ in dstar_rows],
-                       [d for _, d in dstar_rows], logpow=False),
+        delta_fit=rate_fit([n for n, _ in delta_rows],
+                           [d for _, d in delta_rows]),
+        dstar_fit=rate_fit([n for n, _ in dstar_rows],
+                           [d for _, d in dstar_rows], logpow=False),
         delta_rows=delta_rows,
         dstar_rows=dstar_rows,
     )
 
-
-def write_dstar_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "dstar"])
-        for n, d in rows:
-            w.writerow([n, f"{d:.17g}"])
-
-
-def write_fit_json(path, fit: RateFit) -> None:
-    with open(path, "w") as fh:
-        json.dump(asdict(fit), fh, indent=1)
-        fh.write("\n")

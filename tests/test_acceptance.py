@@ -151,7 +151,9 @@ def sqrt2_sweep():
 
 
 def test_criterion_04_sqrt2_rate(sqrt2_sweep):
-    fit = R.rate_fit(sqrt2_sweep, eta_hint=1.0)
+    rows = sqrt2_sweep.rows
+    fit = R.rate_fit([r.n for r in rows], [r.delta_phi for r in rows],
+                     eta_hint=1.0)
     ok = (-1.15 <= fit.exponent <= -0.85 and fit.r2 >= 0.98
           and 0.0 <= fit.constrained_logpow <= 1.5)
     assert verdict("criterion 04 sqrt(2) distance decays like 1/n", ok,
@@ -161,7 +163,8 @@ def test_criterion_04_sqrt2_rate(sqrt2_sweep):
 
 def test_criterion_05_lattice_rate():
     sweep = R.delta_sweep(K.bernoulli_pm(1), [2 ** k for k in range(4, 12)])
-    fit = R.rate_fit(sweep)
+    fit = R.rate_fit([r.n for r in sweep.rows],
+                     [r.delta_phi for r in sweep.rows])
     assert verdict("criterion 05 lattice base stays at 1/sqrt(n)",
                    -0.6 <= fit.exponent <= -0.4,
                    f"exponent {fit.exponent:.3f}")
@@ -187,7 +190,8 @@ def test_criterion_07_average_over_alpha():
 
 def test_criterion_08_discrepancy_pipeline():
     ns = [2 ** k for k in range(4, 15)]
-    fit = R._fit(ns, [R.star_discrepancy(SQRT2, n) for n in ns], logpow=False)
+    fit = R.rate_fit(ns, [R.star_discrepancy(SQRT2, n) for n in ns],
+                     logpow=False)
     rep = R.compare_16_vs_17(SQRT2,
                              [2 ** k for k in range(4, 12)],
                              ns)

@@ -1,6 +1,4 @@
-import json
 import math
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -105,6 +103,12 @@ class TestLemma21:
         base = K.product_bernoulli([SQRT2])
         with pytest.raises(InadmissibleT):
             B.lemma21_rhs(base, 16, 0.01)
+
+    def test_quadrature_error_checked(self, monkeypatch):
+        # a tail integral whose error estimate swamps it is not reported
+        monkeypatch.setattr(B, "quad", lambda *args, **kwargs: (0.0, 1.0))
+        with pytest.raises(QuadratureFailure):
+            B.lemma21_rhs(K.product_bernoulli([SQRT2]), 64, 8.0)
 
     def test_T0_definition(self):
         base = K.product_bernoulli([SQRT2])
@@ -231,13 +235,3 @@ class TestProp51:
                                      comparison_for("phi", base, 64)).delta
         assert rep.rows[0].delta_n == pytest.approx(want, abs=0)
 
-
-def test_write_report_json(tmp_path):
-    base = K.product_bernoulli([SQRT2])
-    reps = [B.lemma21_rhs(base, n, 8.0) for n in (16, 32)]
-    path = tmp_path / "sweep.json"
-    B.write_report_json(path, [asdict(r) for r in reps])
-    loaded = json.loads(path.read_text())
-    assert len(loaded) == 2
-    assert loaded[0]["n"] == 16
-    assert loaded[0]["rhs_total"] == pytest.approx(reps[0].rhs_total)

@@ -15,10 +15,6 @@ SQRT3 = AlphaSpec.surd(0, 1, 1, 3)
 
 
 class TestCharSpec:
-    def test_product_no_weights(self):
-        with pytest.raises(ValueError):
-            C.CharSpec("product", (SQRT2,), (0.5, 0.5))
-
     def test_mixture_weight_length(self):
         with pytest.raises(ValueError):
             C.CharSpec.mixture([0.5, 0.25, 0.25], [SQRT2])
@@ -31,13 +27,12 @@ class TestCharSpec:
 
     def test_parse_product(self):
         spec = C.CharSpec.parse("prod:surd:0,1,1,2,surd:0,1,1,3")
-        assert spec.form == "product" and len(spec.alphas) == 2
+        assert spec.weights is None and len(spec.alphas) == 2
         assert abs(spec.alphas[0].to_float() - math.sqrt(2)) < 1e-15
         assert abs(spec.alphas[1].to_float() - math.sqrt(3)) < 1e-15
 
     def test_parse_mixture(self):
         spec = C.CharSpec.parse("mix:0.5:surd:0,1,1,2=0.25,rat:1/3=0.25")
-        assert spec.form == "mixture"
         assert spec.weights == (0.5, 0.25, 0.25)
         assert abs(spec.alphas[1].to_float() - 1 / 3) < 1e-15
 

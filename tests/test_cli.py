@@ -40,6 +40,10 @@ class TestDelta:
         assert payload["error_bound"] == 0.0
         assert len(payload["config"]) == 12
         assert out.count("\n") == 1 and len(out.split()) == 4
+        assert path.read_bytes() == (
+            b'{\n "n": 4,\n "delta": 0.1875,\n "argmax": 0.0,\n'
+            b' "side": "right",\n "error_bound": 0.0,\n "target": "phi",\n'
+            b' "base": "prod:",\n "config": "61c165ea847e"\n}\n')
 
     def test_windowed_product_output_unchanged(self, capsys):
         code, out, _ = run(capsys, "delta", "--base", "prod:surd:0,1,1,11",
@@ -107,6 +111,14 @@ class TestSweepAndFit:
         assert lines[0].startswith("# config=")
         assert lines[1] == "n,delta_phi,delta_phi3,argmax"
         assert len(lines) == 7
+        assert csv_path.read_bytes() == (
+            b"# config=0f76206e236c cltdioph=0.1.0\n"
+            b"n,delta_phi,delta_phi3,argmax\r\n"
+            b"16,0.019445847263713456,,-0.40824829046386307\r\n"
+            b"32,0.010141904272911506,,-0.28867513459481287\r\n"
+            b"64,0.0049447404960546448,,-0.14433756729740646\r\n"
+            b"128,0.0025884861517076474,,-0.20412414523193148\r\n"
+            b"256,0.001270639632235504,,-0.14433756729740646\r\n")
 
         fit_path = tmp_path / "fit.json"
         code, out, _ = run(capsys, "fit", "--in", str(csv_path),
@@ -117,6 +129,17 @@ class TestSweepAndFit:
         assert -1.3 <= exponent <= -0.7
         loaded = json.loads(fit_path.read_text())
         assert loaded["constrained_exponent"] == -1.0
+        fit_head = (b'{\n "exponent": -1.0455072317015568,\n'
+                    b' "logpow": 0.2467398036895948,\n'
+                    b' "r2": 0.9997717907516053,\n'
+                    b' "window": [\n  16,\n  256\n ],\n')
+        assert fit_path.read_bytes() == fit_head + (
+            b' "constrained_exponent": -1.0,\n'
+            b' "constrained_logpow": 0.06554440546564162\n}\n')
+        run(capsys, "fit", "--in", str(csv_path), "--out", str(fit_path))
+        assert fit_path.read_bytes() == fit_head + (
+            b' "constrained_exponent": null,\n'
+            b' "constrained_logpow": null\n}\n')
 
     def test_deterministic_output_bytes(self, capsys, tmp_path):
         args = ["sweep", "--base", "prod:surd:0,1,1,2",
@@ -146,6 +169,9 @@ class TestDisc:
         assert code == 0
         lines = path.read_text().splitlines()
         assert lines[0] == "n,dstar" and len(lines) == 4
+        assert path.read_bytes() == (
+            b"n,dstar\r\n16,0.088203435596425739\r\n"
+            b"32,0.045968625761429682\r\n64,0.025811754568578205\r\n")
 
 
 class TestAvg:
@@ -192,3 +218,21 @@ class TestBounds:
         assert len(loaded) == 2
         # the bound must actually dominate the exact distance
         assert all(rec["ratio"] > 1.0 for rec in loaded)
+        assert path.read_bytes() == (
+            b'[\n {\n  "moment_term": 0.02951388888888888,\n'
+            b'  "cutoff_term": 0.031864593442775285,\n'
+            b'  "tail_integral": 4.443394483424247e-10,\n'
+            b'  "rhs_total": 0.061378482776003614,\n'
+            b'  "T": 2.264858134101384,\n  "T0": 5.820855000871992,\n'
+            b'  "n": 64,\n  "non_decaying_tail": false,\n'
+            b'  "delta_n": 0.004944740496054645,\n'
+            b'  "ratio": 12.41288250110938\n },\n'
+            b' {\n  "moment_term": 0.00737847222222222,\n'
+            b'  "cutoff_term": 0.009198515800902148,\n'
+            b'  "tail_integral": 6.658475003337454e-34,\n'
+            b'  "rhs_total": 0.016576988023124368,\n'
+            b'  "T": 3.9228493601992427,\n  "T0": 11.641710001743984,\n'
+            b'  "n": 256,\n  "non_decaying_tail": false,\n'
+            b'  "delta_n": 0.001270639632235504,\n'
+            b'  "ratio": 13.046175801993197\n }\n]\n')
+

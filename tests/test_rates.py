@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -14,10 +13,9 @@ SQRT2 = AlphaSpec.surd(0, 1, 1, 2)
 GOLDEN = AlphaSpec.surd(1, 1, 2, 5)
 
 
-def synthetic_sweep(ns, deltas):
-    return R.SweepResult(tuple(
-        R.SweepRow(n=n, delta_phi=d, delta_phi3=None, argmax=0.0)
-        for n, d in zip(ns, deltas)))
+def sweep_fit(sweep):
+    return R.rate_fit([r.n for r in sweep.rows],
+                      [r.delta_phi for r in sweep.rows])
 
 
 class TestDeltaSweep:
@@ -74,7 +72,7 @@ class TestRateFit:
     def test_synthetic_recovery(self):
         ns = [2 ** k for k in range(4, 12)]
         deltas = [n ** -1.0 * math.log(n) ** 0.5 for n in ns]
-        fit = R.rate_fit(synthetic_sweep(ns, deltas))
+        fit = R.rate_fit(ns, deltas)
         assert abs(fit.exponent + 1.0) < 1e-6
         assert abs(fit.logpow - 0.5) < 1e-6
         assert fit.r2 > 1 - 1e-12
@@ -82,30 +80,30 @@ class TestRateFit:
     def test_constrained_variant(self):
         ns = [2 ** k for k in range(4, 12)]
         deltas = [n ** -1.0 * math.log(n) ** 0.5 for n in ns]
-        fit = R.rate_fit(synthetic_sweep(ns, deltas), eta_hint=1.0)
+        fit = R.rate_fit(ns, deltas, eta_hint=1.0)
         assert fit.constrained_exponent == -1.0
         assert abs(fit.constrained_logpow - 0.5) < 1e-6
 
     def test_too_few_points(self):
         ns = [16, 32, 64, 128]
         with pytest.raises(TooFewPoints):
-            R.rate_fit(synthetic_sweep(ns, [1 / n for n in ns]))
+            R.rate_fit(ns, [1 / n for n in ns])
 
     def test_sqrt2_sweep_rate(self):
         base = K.product_bernoulli([SQRT2])
         sweep = R.delta_sweep(base, [2 ** k for k in range(4, 10)])
-        fit = R.rate_fit(sweep)
+        fit = sweep_fit(sweep)
         assert -1.15 <= fit.exponent <= -0.85
         assert fit.r2 >= 0.98
 
     def test_b1_lattice_rate(self):
         sweep = R.delta_sweep(K.bernoulli_pm(1), [2 ** k for k in range(4, 12)])
-        fit = R.rate_fit(sweep)
+        fit = sweep_fit(sweep)
         assert -0.6 <= fit.exponent <= -0.4
 
     def test_window(self):
         ns = [16, 32, 64, 128, 256]
-        fit = R.rate_fit(synthetic_sweep(ns, [1 / n for n in ns]))
+        fit = R.rate_fit(ns, [1 / n for n in ns])
         assert fit.window == (16, 256)
 
 
@@ -157,7 +155,8 @@ class TestStarDiscrepancy:
     def test_sqrt2_rate(self):
         rows = [(2 ** k, R.star_discrepancy(SQRT2, 2 ** k))
                 for k in range(4, 15)]
-        fit = R._fit([n for n, _ in rows], [d for _, d in rows], logpow=False)
+        fit = R.rate_fit([n for n, _ in rows], [d for _, d in rows],
+                         logpow=False)
         assert -1.1 <= fit.exponent <= -0.85
 
     def test_precondition(self):
@@ -182,30 +181,3 @@ class TestCompare:
             [2 ** k for k in range(4, 13)])
         assert abs(rep.delta_fit.exponent - rep.dstar_fit.exponent) < 0.3
 
-
-class TestSerialization:
-    def test_sweep_csv(self, tmp_path):
-        sweep = R.delta_sweep(K.product_bernoulli([SQRT2]), [4, 8])
-        path = tmp_path / "sweep.csv"
-        with open(path, "w", newline="") as fh:
-            sweep.write_csv(fh)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "n,delta_phi,delta_phi3,argmax"
-        assert len(lines) == 3
-        assert float(lines[1].split(",")[1]) == sweep.rows[0].delta_phi
-
-    def test_dstar_csv(self, tmp_path):
-        rows = [(n, R.star_discrepancy(SQRT2, n)) for n in (16, 32)]
-        path = tmp_path / "dstar.csv"
-        R.write_dstar_csv(path, rows)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "n,dstar" and len(lines) == 3
-
-    def test_fit_json(self, tmp_path):
-        ns = [16, 32, 64, 128, 256]
-        fit = R.rate_fit(synthetic_sweep(ns, [1 / n for n in ns]))
-        path = tmp_path / "fit.json"
-        R.write_fit_json(path, fit)
-        loaded = json.loads(path.read_text())
-        assert loaded["exponent"] == pytest.approx(-1.0)
-        assert loaded["window"] == [16, 256]
