@@ -14,7 +14,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
-import mpmath
 import numpy as np
 from scipy.optimize import minimize_scalar
 
@@ -25,18 +24,25 @@ from .errors import InsufficientPeaks, PrecisionExhausted
 #: to 1e-12 and evaluation falls back to arbitrary precision
 _F128_LIMIT = 1.0e6
 
+#: half-width of the bracket around pi n that _refine_peak searches; the
+#: skip bound of growth_fit (_record_floor) covers the same bracket and
+#: needs it inside |s - pi n| < pi / 2, where ||s / pi - n|| = |s / pi - n|
+_BRACKET = 1.0
+assert _BRACKET < math.pi / 2
+
 _LONG = np.longdouble
 _TWO = _LONG(2.0)
+_BITS = 128  # mantissa width read by _alpha_longdouble and _record_floor
 
 
 def _alpha_longdouble(alpha: AlphaSpec) -> np.longdouble:
     """Alpha as a long double via a hi/lo split of the 128-bit mantissa."""
     try:
-        m = alpha.mantissa(128)
+        m = alpha.mantissa(_BITS)
     except PrecisionExhausted:
         return _LONG(alpha.to_float())
     hi, lo = divmod(m, 1 << 64)
-    return _LONG(hi) * _TWO ** -64 + _LONG(lo) * _TWO ** -128
+    return _LONG(hi) * _TWO ** -64 + _LONG(lo) * _TWO ** -_BITS
 
 
 def _cos_scaled(alpha: AlphaSpec, alpha_ld: np.longdouble, t: float) -> float:
@@ -44,6 +50,8 @@ def _cos_scaled(alpha: AlphaSpec, alpha_ld: np.longdouble, t: float) -> float:
     arg = alpha_ld * _LONG(t)
     if abs(float(arg)) <= _F128_LIMIT:
         return float(np.cos(arg))
+    import mpmath  # here, not at module level: no other path needs it
+
     bits = 128 + max(0, int(math.log2(abs(t))))
     try:
         frac = alpha.approx(bits)
@@ -200,22 +208,75 @@ class GrowthFit:
 
 def _refine_peak(spec: CharSpec, center: float) -> tuple[float, float]:
     res = minimize_scalar(lambda s: -abs(eval(spec, s)),
-                          bounds=(center - 1.0, center + 1.0),
+                          bounds=(center - _BRACKET, center + _BRACKET),
                           method="bounded",
                           options={"xatol": 1e-9})
     return float(res.x), float(-res.fun)
+
+
+def _record_floor(spec: CharSpec) -> Callable[[int], float]:
+    """n -> L_n <= 1 - |f(s)| for every s with |s - pi n| <= _BRACKET.
+
+    Put s = pi (n + x) with |x| < 1/2 and d_k = ||n alpha_k|| (exact from
+    the mantissa, less its error n 2^-128); then ||alpha_k s / pi|| >=
+    max(0, d_k - |alpha_k| |x|).  For a product |cos(pi y)| <=
+    exp(-pi^2 ||y||^2 / 2) on cos(s) and the k-th factor, minimised over x,
+    gives 1 - |f| >= -expm1(-(pi^2/2) d_k^2 / (1 + alpha_k^2)); for a
+    mixture 1 - |cos(pi y)| >= 4 ||y||^2 gives 1 - |f| >= 4 p0 pk d_k^2 /
+    (p0 + pk alpha_k^2) - |sum p - 1|.  L_n is the largest over k.  An
+    alpha without a 128-bit mantissa takes d_k = 0.
+    """
+    mixture = spec.weights is not None
+    terms = []  # (mantissa, coefficient of d_k^2)
+    for k, alpha in enumerate(spec.alphas):
+        try:
+            m = alpha.mantissa(_BITS)
+        except PrecisionExhausted:
+            continue
+        if abs(m) >> (_BITS + 500):
+            continue  # |alpha| >= 2^500: alpha^2 may overflow, term < 2^-995
+        a2 = math.ldexp(m, -_BITS) ** 2
+        if mixture:
+            p0, pk = spec.weights[0], spec.weights[k + 1]
+            terms.append((m, 4.0 * p0 * pk / (p0 + pk * a2)))
+        else:
+            terms.append((m, math.pi ** 2 / 2.0 / (1.0 + a2)))
+    slack = abs(math.fsum(spec.weights) - 1.0) if mixture else 0.0
+    one = 1 << _BITS
+
+    def floor(n: int) -> float:
+        top = 0.0
+        for m, c in terms:
+            r = (n * m) % one
+            num = min(r, one - r) - n
+            if num > 0:
+                d = math.ldexp(num, -_BITS)
+                top = max(top, c * d * d)
+        return top - slack if mixture else -math.expm1(-top)
+
+    return floor
 
 
 def growth_fit(spec: CharSpec, t_max: float, n_peaks: int = 8) -> GrowthFit:
     """Fit log(1/(1 - |f|)) against log t at record resonances of |f|.
 
     Candidate peaks sit at multiples of pi: |f| is near 1 only where
-    |cos t| is, for products and mixtures alike.  The retained sample is the sequence of records, peaks whose 1 - |f|
-    undercuts every earlier peak. Records trace the lower envelope of
-    1 - |f|, which is the object the growth law describes, and they
-    space themselves along the log-t axis; taking literally the largest
-    maxima would cluster the sample at the single sharpest resonance and
-    leave the exponent unidentifiable.
+    |cos t| is, for products and mixtures alike.  The retained sample is
+    the sequence of records, peaks whose 1 - |f| undercuts every earlier
+    peak. Records trace the lower envelope of 1 - |f|, which is the object
+    the growth law describes, and they space themselves along the log-t
+    axis; taking literally the largest maxima would cluster the sample at
+    the single sharpest resonance and leave the exponent unidentifiable.
+
+    Most candidates cannot be records, and their searches are skipped:
+    over the search bracket around pi n, 1 - |f| >= L_n, a bound from
+    ||n alpha_k|| through |cos(pi y)| <= exp(-pi^2 ||y||^2 / 2) (products)
+    or 1 - |cos(pi y)| >= 4 ||y||^2 (mixtures), see _record_floor.  A
+    search is run unless L_n - 1e-12 >= the current record level.  The
+    search returns |f| at a point of its bracket, so a skipped candidate
+    could be neither a record nor an exact return to |f| = 1 (the margin
+    covers rounding in f and L_n): the records, the fit and the errors
+    are those of the search at every candidate.
     """
     if t_max <= 10.0:
         raise ValueError("t_max must exceed 10")
@@ -231,7 +292,10 @@ def growth_fit(spec: CharSpec, t_max: float, n_peaks: int = 8) -> GrowthFit:
             f"only {n_hi} candidate peaks below t_max={t_max}")
     records: list[tuple[float, float]] = []
     best = 0.5  # near-peak regime cutoff doubles as the first record level
+    floor = _record_floor(spec)
     for n in range(1, n_hi + 1):
+        if floor(n) - 1e-12 >= best:
+            continue
         t_peak, f_peak = _refine_peak(spec, math.pi * n)
         one_minus = 1.0 - f_peak
         if one_minus < 1e-15:

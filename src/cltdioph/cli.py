@@ -86,7 +86,7 @@ def cmd_sweep(args) -> int:
     path = out_dir / "sweep.csv"
     with open(path, "w", newline="") as fh:
         fh.write(_header_line(args) + "\n")
-        w = csv.writer(fh)
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["n", "delta_phi", "delta_phi3", "argmax"])
         for r in sweep.rows:
             w.writerow([r.n, _fmt(r.delta_phi),
@@ -132,7 +132,7 @@ def cmd_disc(args) -> int:
         print(f"{n} {_fmt(d)}")
     if args.out:
         with open(args.out, "w", newline="") as fh:
-            csv.writer(fh).writerows(
+            csv.writer(fh, lineterminator="\n").writerows(
                 [("n", "dstar")] + [(n, _fmt(d)) for n, d in rows])
     return EXIT_OK
 

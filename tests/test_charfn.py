@@ -83,11 +83,21 @@ class TestEval:
             assert abs(C.eval(spec, t) - want) < 1e-10
 
     def test_beyond_f128_limit_falls_back(self):
-        mpmath.mp.dps = 60
-        spec = C.CharSpec.product([SQRT2])
-        t = 3.0e6
-        want = float(mpmath.cos(t) * mpmath.cos(mpmath.sqrt(2) * t))
-        assert abs(C.eval(spec, t) - want) < 1e-9
+        # |t alpha| > _F128_LIMIT: the arbitrary-precision branch, against
+        # a reference that builds each alpha from its definition
+        golden = AlphaSpec.parse("cf:1;periodic:1")
+        mix = C.CharSpec.mixture([0.25, 0.5, 0.25], [SQRT3, golden])
+        with mpmath.workdps(60):
+            phi = (1 + mpmath.sqrt(5)) / 2
+            t = 3.0e6
+            want = float(mpmath.cos(t) * mpmath.cos(mpmath.sqrt(2) * t))
+            assert abs(C.eval(C.CharSpec.product([SQRT2]), t) - want) < 1e-9
+            for t in (2.5e6, 1.3e7):
+                assert abs(t * phi) > C._F128_LIMIT
+                want = float(0.25 * mpmath.cos(t)
+                             + 0.5 * mpmath.cos(mpmath.sqrt(3) * t)
+                             + 0.25 * mpmath.cos(phi * t))
+                assert abs(C.eval(mix, t) - want) < 1e-9
 
 
 class TestProfile:
@@ -255,6 +265,87 @@ class TestGrowthFit:
             C.growth_fit(C.CharSpec.product([SQRT2]), 5.0, 8)
         with pytest.raises(ValueError):
             C.growth_fit(C.CharSpec.product([SQRT2]), 1e3, 4)
+
+
+def _full_scan(monkeypatch, spec, t_max):
+    # the reference runs _refine_peak at every candidate: no bound skips
+    with monkeypatch.context() as m:
+        m.setattr(C, "_record_floor", lambda spec: lambda n: 0.0)
+        return _fit_or_error(spec, t_max)
+
+
+def _fit_or_error(spec, t_max):
+    try:
+        return C.growth_fit(spec, t_max, 8)
+    except InsufficientPeaks as exc:
+        return repr(exc)
+
+
+_SURD_DS = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23)
+
+
+@st.composite
+def _char_specs(draw):
+    k = draw(st.integers(1, 3))
+    alphas = []
+    for _ in range(k):
+        if draw(st.booleans()):
+            alphas.append(AlphaSpec.surd(
+                draw(st.integers(-3, 3)), draw(st.integers(1, 3)),
+                draw(st.integers(1, 4)), draw(st.sampled_from(_SURD_DS))))
+        else:
+            alphas.append(AlphaSpec.rational(draw(st.integers(-40, 40)),
+                                             draw(st.integers(1, 40))))
+    if draw(st.booleans()):
+        return C.CharSpec.product(alphas)
+    raw = [draw(st.floats(0.05, 1.0)) for _ in range(k + 1)]
+    total = math.fsum(raw)
+    return C.CharSpec.mixture([r / total for r in raw], alphas)
+
+
+class TestRecordSkip:
+    @pytest.mark.parametrize("text, t_max", [
+        ("prod:surd:0,1,1,2", 3e4),
+        ("prod:surd:0,1,1,15", 3e4),
+        ("prod:surd:0,1,1,2,surd:0,1,1,3", 1e4),
+        ("mix:0.5:surd:0,1,1,2=0.5", 1e4),
+        ("mix:0.2:surd:0,1,1,2=0.8", 1e4),
+        ("prod:cf:0;2,30,periodic:1", 1e4),
+        ("prod:rat:1/2", 1e3),                  # degenerate exit
+        ("prod:dec:1.41421356237", 1e3),        # no 128-bit mantissa
+        ("prod:surd:0,1,1,5", 3e4),             # InsufficientPeaks
+        ("prod:rat:1" + "0" * 300 + "/3", 100.0),  # |alpha| > 2^500
+    ])
+    def test_equals_full_scan(self, monkeypatch, text, t_max):
+        spec = C.CharSpec.parse(text)
+        assert _fit_or_error(spec, t_max) == _full_scan(monkeypatch, spec,
+                                                        t_max)
+
+    def test_runs_few_searches(self, monkeypatch):
+        calls = []
+        refine = C._refine_peak
+
+        def counted(spec, center):
+            calls.append(center)
+            return refine(spec, center)
+
+        monkeypatch.setattr(C, "_refine_peak", counted)
+        C.growth_fit(C.CharSpec.product([SQRT2]), 3e4, 8)
+        assert int(3e4 / math.pi) == 9549
+        assert 0 < len(calls) < 95
+
+    def test_no_mantissa_never_skips(self):
+        spec = C.CharSpec.parse("prod:dec:1.41421356237")
+        floor = C._record_floor(spec)
+        assert all(floor(n) == 0.0 for n in range(1, 200))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_char_specs(), st.integers(1, 20000),
+           st.floats(-1.0, 1.0))
+    def test_bound_holds_on_bracket(self, spec, n, u):
+        s = math.pi * n + u * C._BRACKET
+        floor = C._record_floor(spec)(n)
+        assert 1.0 - abs(C.eval(spec, s)) >= floor - 1e-12
 
 
 class TestCompositionWithDioph:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from scipy.special import ndtr
 
+import cltdioph
 from cltdioph.cli import main
 
 
@@ -113,12 +118,12 @@ class TestSweepAndFit:
         assert len(lines) == 7
         assert csv_path.read_bytes() == (
             b"# config=0f76206e236c cltdioph=0.1.0\n"
-            b"n,delta_phi,delta_phi3,argmax\r\n"
-            b"16,0.019445847263713456,,-0.40824829046386307\r\n"
-            b"32,0.010141904272911506,,-0.28867513459481287\r\n"
-            b"64,0.0049447404960546448,,-0.14433756729740646\r\n"
-            b"128,0.0025884861517076474,,-0.20412414523193148\r\n"
-            b"256,0.001270639632235504,,-0.14433756729740646\r\n")
+            b"n,delta_phi,delta_phi3,argmax\n"
+            b"16,0.019445847263713456,,-0.40824829046386307\n"
+            b"32,0.010141904272911506,,-0.28867513459481287\n"
+            b"64,0.0049447404960546448,,-0.14433756729740646\n"
+            b"128,0.0025884861517076474,,-0.20412414523193148\n"
+            b"256,0.001270639632235504,,-0.14433756729740646\n")
 
         fit_path = tmp_path / "fit.json"
         code, out, _ = run(capsys, "fit", "--in", str(csv_path),
@@ -170,8 +175,8 @@ class TestDisc:
         lines = path.read_text().splitlines()
         assert lines[0] == "n,dstar" and len(lines) == 4
         assert path.read_bytes() == (
-            b"n,dstar\r\n16,0.088203435596425739\r\n"
-            b"32,0.045968625761429682\r\n64,0.025811754568578205\r\n")
+            b"n,dstar\n16,0.088203435596425739\n"
+            b"32,0.045968625761429682\n64,0.025811754568578205\n")
 
 
 class TestAvg:
@@ -206,6 +211,22 @@ class TestCf:
         code, out, _ = run(capsys, "cf", "--spec", "prod:", "--tmax", "100")
         assert code == 0
         assert "degenerate" in out
+
+
+def test_delta_does_not_import_mpmath():
+    # only charfn's arbitrary-precision branch needs mpmath; importing it
+    # eagerly would add its import time to every command
+    code = ("import sys\n"
+            "from cltdioph import cli\n"
+            "assert cli.main(['delta', '--base', 'prod:surd:0,1,1,2',"
+            " '--n', '64']) == 0\n"
+            "sys.exit('mpmath' in sys.modules)\n")
+    src = str(Path(cltdioph.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("64 ")
 
 
 class TestBounds:
