@@ -5,7 +5,10 @@ fraction, decimal string, or exact rational) that can produce, for any
 requested bit count B, an integer mantissa M with |alpha - M/2^B| < 2^-B.
 Everything downstream (distance to the nearest integer, irrationality-type
 scans, Khinchine infima) consumes that oracle and either certifies its
-answer or raises PrecisionExhausted.
+answer or raises PrecisionExhausted.  Scans over n = 1..N read the orbit
+off one 64-bit mantissa in a single numpy pass (``orbit_residues``,
+``orbit_dists``); only the entries that pass cannot certify go back to the
+scalar ``nearest_int_dist``.
 """
 
 from __future__ import annotations
@@ -17,10 +20,15 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .errors import PrecisionExhausted
 
 #: hard ceiling for the doubling precision protocol (bits)
 MAX_BITS = 4096
+
+#: 2^64 - 1; ``M & _MASK64`` is M mod 2^64, for negative M too
+_MASK64 = (1 << 64) - 1
 
 
 def _round_div(a: int, b: int) -> int:
@@ -407,6 +415,59 @@ def nearest_int_dist(alpha: AlphaSpec, n: int) -> tuple[float, float]:
         bits = min(2 * bits, cap)
 
 
+def orbit_residues(alpha: AlphaSpec, n_max: int) -> np.ndarray:
+    """r_n = n*M mod 2^64 for n = 1..n_max, M = ``alpha.mantissa(64)``.
+
+    One wrapping ``np.uint64`` multiply gives the exact residues (M is
+    taken mod 2^64, which is right for negative alpha too).  Since
+    |n*alpha - n*M/2^64| < n 2^-64, r_n / 2^64 is {n alpha} and
+    min(r_n, 2^64 - r_n) / 2^64 is ||n alpha||, each within n 2^-64.
+    Raises PrecisionExhausted when alpha has no 64-bit mantissa.
+    """
+    m = np.uint64(alpha.mantissa(64) & _MASK64)
+    return np.arange(1, n_max + 1, dtype=np.uint64) * m
+
+
+def _dists_64(alpha: AlphaSpec, n_max: int) -> np.ndarray:
+    """||n alpha|| for n = 1..n_max where nearest_int_dist's 64-bit test
+    certifies it, NaN elsewhere; a rational orbit is exact."""
+    ns = np.arange(1, n_max + 1, dtype=np.uint64)
+    if alpha.is_rational:
+        # the orbit of p/q has period q
+        q = alpha.exact_fraction().denominator
+        head = [nearest_int_dist(alpha, n)[0]
+                for n in range(1, min(n_max, q) + 1)]
+        return np.resize(np.array(head, dtype=float), ns.size)
+    try:
+        r = orbit_residues(alpha, n_max)
+    except PrecisionExhausted:
+        return np.full(ns.size, np.nan)  # the scalar path reports the budget
+    dist = np.minimum(r, -r) / 2.0 ** 64
+    err = ns / 2.0 ** 64
+    # nearest_int_dist starts above 64 bits once 41 + n.bit_length() > 64
+    ok = (ns < 1 << 23) & (dist > err) & (np.abs(dist - 0.5) > err)
+    return np.where(ok, dist, np.nan)
+
+
+def orbit_dists(alphas: Sequence[AlphaSpec], n_max: int) -> np.ndarray:
+    """||n alpha_k|| for n = 1..n_max, as an array of shape (k, n_max).
+
+    Entry (k, n - 1) equals ``nearest_int_dist(alphas[k], n)[0]`` bit for
+    bit.  Each irrational orbit comes from ``orbit_residues``: the distance
+    min(r_n, 2^64 - r_n) / 2^64 is kept where it passes the exact test
+    ``nearest_int_dist`` applies at 64 bits, i.e. err = n 2^-64 < 2^-40,
+    dist > err and |dist - 1/2| > err, and where 41 + n.bit_length() <= 64.
+    Every other entry is redone by ``nearest_int_dist`` itself, in order of
+    n and then of k, so the scalar routine stays the only certification
+    path and raises the error a loop over n would raise first.  A rational
+    orbit is computed exactly over one period.
+    """
+    dists = np.stack([_dists_64(a, n_max) for a in alphas])
+    for i, k in np.argwhere(np.isnan(dists.T)).tolist():
+        dists[k, i] = nearest_int_dist(alphas[k], i + 1)[0]
+    return dists
+
+
 # ---------------------------------------------------------------------------
 # irrationality-type estimate
 
@@ -430,23 +491,38 @@ def type_estimate(alpha: AlphaSpec, n_max: int) -> TypeEstimate:
     the windowed max converges to 1 from above for badly approximable
     alpha.  Records the chain of running maxima as witnesses.  Rational
     alpha is reported with the degenerate flag (an exact hit
-    ||n alpha|| = 0 anywhere on the horizon).
+    ||n alpha|| = 0 anywhere on the horizon) and the chain up to that hit.
+
+    The distances come from ``orbit_dists`` (one 64-bit residue per n, the
+    scalar ``nearest_int_dist`` redoing what that cannot certify).  numpy's
+    log only preselects candidates: with |eta~_n - eta_n| <= delta, a record
+    has eta~_n > max_{m<n} eta~_m - 2 delta, and the slack of 1e-9 (1 +
+    running max) exceeds 2 delta by orders of magnitude (both logs are
+    accurate to a few ulps).  So no record is left out, and as the running
+    max over all n is attained at records, the records over the candidates,
+    computed with ``math.log``, are the records over all n.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     n_min = max(2, isqrt(n_max))
+    dists = orbit_dists([alpha], n_max)[0]
+    zeros = np.flatnonzero(dists == 0.0)
+    end = int(zeros[0]) if zeros.size else n_max  # n = end + 1 hits 0
+    window = dists[n_min - 1:end]
+    ns = np.arange(n_min, n_min + window.size)
+    eta = np.log(1.0 / (2.0 * window)) / np.log(ns)
+    best = np.maximum.accumulate(eta)
+    candidates = np.flatnonzero(eta >= best - 1e-9 * (1.0 + best))
     eta_hat = float("-inf")
     chain: list[tuple[int, float, float]] = []
-    for n in range(1, n_max + 1):
-        dist, _ = nearest_int_dist(alpha, n)
-        if dist == 0.0:
-            return TypeEstimate(math.inf, chain, n_max, degenerate=True)
-        if n < n_min:
-            continue
+    for i in candidates.tolist():
+        n, dist = n_min + i, float(window[i])
         eta_n = math.log(1.0 / (2.0 * dist)) / math.log(n)
         if eta_n > eta_hat:
             eta_hat = eta_n
             chain.append((n, dist, n ** eta_n * dist))
+    if zeros.size:
+        return TypeEstimate(math.inf, chain, n_max, degenerate=True)
     return TypeEstimate(eta_hat, chain, n_max)
 
 
@@ -467,9 +543,7 @@ def eps_profile(alphas: Sequence[AlphaSpec], n_max: int,
                 eta_prime: Optional[float] = None) -> EpsProfile:
     if not alphas:
         raise ValueError("need at least one alpha")
-    values = []
-    for n in range(1, n_max + 1):
-        values.append(max(nearest_int_dist(a, n)[0] for a in alphas))
+    values = orbit_dists(alphas, n_max).max(axis=0).tolist()
     diag = None
     if eta is not None:
         ep = eta_prime if eta_prime is not None else 0.0
@@ -500,8 +574,8 @@ def khinchine_r(alpha: AlphaSpec, psi: KhinchinePsi,
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     best, arg = math.inf, 0
-    for n in range(1, n_max + 1):
-        dist, _ = nearest_int_dist(alpha, n)
+    dists = orbit_dists([alpha], n_max)[0].tolist()
+    for n, dist in enumerate(dists, start=1):
         v = dist / psi(n)
         if v < best:
             best, arg = v, n

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -328,14 +327,11 @@ def _lattice_zn(spec: CharSpec, n: int, scale: float) -> DiscreteDist:
         # although the floats p_j need not add up to exactly 1
         common = math.lcm(*(Fraction(p).denominator for p in spec.weights))
         ints = [int(Fraction(p) * common) for p in spec.weights]
-        powers = [list(itertools.accumulate(itertools.repeat(w, n),
-                                            operator.mul, initial=1))
-                  for w in ints]
         total = sum(ints) ** n
         grid = np.zeros((support.size,) * (m + 1))
         rows = [_binom_row(k) for k in range(n + 1)]
-        for counts in _compositions(n, m + 1):
-            block = _multinomial(counts, powers) / total
+        for counts, weight in _multinomials(n, ints):
+            block = weight / total
             cells = []
             for k in counts:
                 row, at = rows[k]
@@ -357,14 +353,29 @@ def _compositions(n: int, parts: int):
         yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
-def _multinomial(counts, powers) -> int:
-    """n!/(k_0! ... k_m!) * w_0^k_0 ... w_m^k_m for integer weights w_j,
-    given the power tables powers[j][k] = w_j^k."""
-    num, total = 1, 0
-    for k, pw in zip(counts, powers):
-        total += k
-        num *= math.comb(total, k) * pw[k]
-    return num
+def _multinomials(n: int, ints):
+    """Each composition (k_0, ..., k_m) of n, in ``_compositions`` order,
+    with n!/(k_0! ... k_m!) * w_0^k_0 ... w_m^k_m for the positive integer
+    weights ints = (w_0, ..., w_m).
+
+    Each value comes from the one before it: going from counts k to k'
+    multiplies it by the product over j of (k_j! / k'_j!) w_j^(k'_j - k_j),
+    done as one multiplication and one exact division of integers.
+    """
+    prev = (0,) * (len(ints) - 1) + (n,)  # the first composition
+    value = ints[-1] ** n
+    for counts in _compositions(n, len(ints)):
+        up = down = 1
+        for k0, k1, w in zip(prev, counts, ints):
+            if k1 > k0:
+                up *= w ** (k1 - k0)
+                down *= math.perm(k1, k1 - k0)
+            elif k1 < k0:
+                up *= math.perm(k0, k0 - k1)
+                down *= w ** (k0 - k1)
+        value = value * up // down
+        prev = counts
+        yield counts, value
 
 
 def _lattice_dist(alphas, cols, weights, scale, n) -> DiscreteDist:

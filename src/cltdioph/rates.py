@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dioph import AlphaSpec
+from .dioph import AlphaSpec, orbit_residues
 from .distkit import DiscreteDist, kolmogorov_distance, moments, \
     product_bernoulli, zn_dist
 from .edgeworth import comparison_for
@@ -124,18 +124,16 @@ def avg_delta(n: int, grid_size: int) -> tuple[float, float]:
 def star_discrepancy(alpha: AlphaSpec, n: int) -> float:
     """sup over (0,1) of |empirical CDF of {k alpha}, k=1..n, minus x|.
 
-    Uses the sorted-points formula; fractional parts come from a certified
-    dyadic approximation with error under n 2^-64.
+    Uses the sorted-points formula max_i max(i/n - x_i, x_i - (i-1)/n).
+    The points x_k = r_k / 2^64 come from the 64-bit residues
+    r_k = k*M mod 2^64 of ``dioph.orbit_residues`` and are within k 2^-64
+    of {k alpha}; they are not certified entry by entry.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    frac = alpha.approx(64)
-    num, den = frac.numerator, frac.denominator
-    pts = sorted((k * num % den) / den for k in range(1, n + 1))
-    best = 0.0
-    for i, x in enumerate(pts, start=1):
-        best = max(best, i / n - x, x - (i - 1) / n)
-    return best
+    x = np.sort(orbit_residues(alpha, n)) / 2.0 ** 64
+    i = np.arange(1, n + 1)
+    return float(np.max(np.maximum(i / n - x, x - (i - 1) / n)))
 
 
 @dataclass(frozen=True)

@@ -161,6 +161,14 @@ class TestSweepAndFit:
 
 
 class TestDisc:
+    def test_bench_output_unchanged(self, capsys):
+        code, out, _ = run(capsys, "disc", "--alpha", "surd:0,1,1,2",
+                           "--n", "16,256,4096,65536")
+        assert code == 0
+        assert out.splitlines() == [
+            "16 0.088203435596425739", "256 0.0055693965738417006",
+            "4096 0.00069836850802573736", "65536 3.6367147464133609e-05"]
+
     def test_single_point(self, capsys):
         code, out, _ = run(capsys, "disc", "--alpha", "surd:0,1,1,2",
                            "--n", "1")

@@ -191,7 +191,121 @@ def test_nearest_dist_metric_properties(x, y):
     assert abs(nd(x) - nd(y)) <= nd(x - y) + 1e-12
 
 
+# a partial quotient near 10^15 after the convergent 131/303 makes
+# ||303 j alpha|| fall below the 64-bit error 303 j 2^-64
+BIG_QUOTIENT = "cf:0;2,3,5,8,1000000000000000,periodic:1"
+# 1/2800 + sqrt(2)/2^65: 1400 alpha is within the 64-bit error of 1/2
+HALF_GAP = "surd:36893488147419103232,2800,103301766812773489049600,2"
+ORBIT_SPECS = ["surd:0,1,1,2", "surd:0,1,1,10", "cf:1;periodic:1", "rat:3/7",
+               "dec:0." + "1415926535" * 7, BIG_QUOTIENT, HALF_GAP,
+               "surd:-3,-1,7,11"]
+DEC35 = "dec:1.41421356237"  # certifies 35 bits
+
+
+def type_estimate_loop(alpha, n_max):
+    """The scalar scan type_estimate must reproduce: one nearest_int_dist
+    and one math.log ratio per n."""
+    n_min = max(2, math.isqrt(n_max))
+    eta_hat, chain = float("-inf"), []
+    for n in range(1, n_max + 1):
+        dist, _ = D.nearest_int_dist(alpha, n)
+        if dist == 0.0:
+            return D.TypeEstimate(math.inf, chain, n_max, degenerate=True)
+        if n < n_min:
+            continue
+        eta_n = math.log(1.0 / (2.0 * dist)) / math.log(n)
+        if eta_n > eta_hat:
+            eta_hat = eta_n
+            chain.append((n, dist, n ** eta_n * dist))
+    return D.TypeEstimate(eta_hat, chain, n_max)
+
+
+def fails_64_bit_test(alpha, n):
+    """Whether nearest_int_dist cannot certify ||n alpha|| at 64 bits."""
+    r = n * alpha.mantissa(64) % (1 << 64)
+    dist, err = min(r, (1 << 64) - r) / 2.0 ** 64, n / 2.0 ** 64
+    return not (41 + n.bit_length() <= 64 and dist > err
+                and abs(dist - 0.5) > err)
+
+
+class TestOrbitKernel:
+    @pytest.mark.parametrize("text", ORBIT_SPECS)
+    def test_equals_scalar(self, text):
+        alpha = D.AlphaSpec.parse(text)
+        got = D.orbit_dists([alpha], 3000)
+        assert got.shape == (1, 3000)
+        assert got[0].tolist() == [D.nearest_int_dist(alpha, n)[0]
+                                   for n in range(1, 3001)]
+
+    @pytest.mark.parametrize("text, failing", [
+        (BIG_QUOTIENT, list(range(303, 3001, 303))),
+        (HALF_GAP, [1400, 2800]),
+    ])
+    def test_failed_entries_take_scalar_redo(self, monkeypatch, text,
+                                             failing):
+        alpha = D.AlphaSpec.parse(text)
+        want = [D.nearest_int_dist(alpha, n)[0] for n in range(1, 3001)]
+        calls = []
+        scalar = D.nearest_int_dist
+
+        def counted(a, n):
+            calls.append(n)
+            return scalar(a, n)
+
+        monkeypatch.setattr(D, "nearest_int_dist", counted)
+        got = D.orbit_dists([alpha], 3000)[0].tolist()
+        assert [n for n in range(1, 3001)
+                if fails_64_bit_test(alpha, n)] == failing
+        assert calls == failing
+        assert got == want
+
+    def test_residues_are_exact(self):
+        for text in ("surd:0,1,1,2", "surd:-3,-1,7,11", "rat:-5/3",
+                     "cf:7;1,2,periodic:3"):
+            alpha = D.AlphaSpec.parse(text)
+            m = alpha.mantissa(64)
+            assert D.orbit_residues(alpha, 500).tolist() == \
+                [n * m % (1 << 64) for n in range(1, 501)]
+
+
 class TestTypeEstimate:
+    @pytest.mark.parametrize("text", ORBIT_SPECS + [
+        "rat:3/1009", "cf:0;1,1000000,periodic:2"])
+    def test_equals_scalar_scan(self, text):
+        alpha = D.AlphaSpec.parse(text)
+        for n_max in (2, 3, 50, 2000):
+            assert D.type_estimate(alpha, n_max) == \
+                type_estimate_loop(alpha, n_max)
+
+    @pytest.mark.parametrize("d, eta_hat, count, last", [
+        (10, 1.158847334666887, 10,
+         (1405, 0.00011253657296149048, 0.5000000000000002)),
+        (2, 1.0576541236875896, 5,
+         (408, 0.0008665517772200823, 0.49999999999999994)),
+    ])
+    def test_bench_values(self, d, eta_hat, count, last):
+        est = D.type_estimate(D.AlphaSpec.surd(0, 1, 1, d), 10 ** 5)
+        assert est.eta_hat == eta_hat and not est.degenerate
+        assert len(est.witnesses) == count and est.witnesses[-1] == last
+        assert est.n_max == 10 ** 5
+
+    def test_rational_chain_stops_at_first_hit(self):
+        assert D.type_estimate(D.AlphaSpec.rational(3, 7), 100) == \
+            D.TypeEstimate(math.inf, [], 100, degenerate=True)
+        est = D.type_estimate(D.AlphaSpec.rational(3, 1009), 2000)
+        assert est.degenerate and len(est.witnesses) == 23
+        assert est.witnesses[0] == (44, 0.13082259663032705, 0.5)
+        assert est.witnesses[-1] == (336, 0.0009910802775024777, 0.5)
+
+    def test_errors(self):
+        for n_max in (1, 0, -1):
+            with pytest.raises(ValueError, match="n_max must be >= 2"):
+                D.type_estimate(SQRT2, n_max)
+        with pytest.raises(PrecisionExhausted,
+                           match=r"need 64 bits to certify \|\|1\*alpha\|\|, "
+                                 r"budget is 35"):
+            D.type_estimate(D.AlphaSpec.parse(DEC35), 100)
+
     def test_sqrt2(self):
         est = D.type_estimate(SQRT2, 10 ** 4)
         assert 1.0 <= est.eta_hat <= 1.15
@@ -241,6 +355,26 @@ class TestEpsProfile:
         with pytest.raises(ValueError):
             D.eps_profile([], 5)
 
+    def test_equals_scalar_max(self):
+        alphas = [D.AlphaSpec.parse(t) for t in ORBIT_SPECS]
+        prof = D.eps_profile(alphas, 2000)
+        assert prof.values == [
+            max(D.nearest_int_dist(a, n)[0] for a in alphas)
+            for n in range(1, 2001)]
+
+    def test_short_budget_raises(self):
+        # the quarter fails at n = 2 (2 alpha is 1e-22 above 1/2, below
+        # its 72-bit error), DEC35 at n = 1: a scan over n meets DEC35 first
+        quarter = D.AlphaSpec.parse("dec:0.2500000000000000000001")
+        with pytest.raises(PrecisionExhausted, match="within 72 bits"):
+            D.eps_profile([quarter], 10)
+        for alphas in ([D.AlphaSpec.parse(DEC35)],
+                       [quarter, D.AlphaSpec.parse(DEC35)]):
+            with pytest.raises(PrecisionExhausted,
+                               match=r"need 64 bits to certify "
+                                     r"\|\|1\*alpha\|\|, budget is 35"):
+                D.eps_profile(alphas, 10)
+
 
 class TestKhinchineR:
     def test_single_term(self):
@@ -269,6 +403,25 @@ class TestKhinchineR:
         psi = D.KhinchinePsi(lambda n: -1.0)
         with pytest.raises(ValueError):
             D.khinchine_r(SQRT2, psi, 3)
+
+    def test_horizon_checked(self):
+        psi = D.KhinchinePsi(lambda n: 1.0)
+        for n_max in (0, -1):
+            with pytest.raises(ValueError, match="n_max must be >= 1"):
+                D.khinchine_r(SQRT2, psi, n_max)
+
+    @pytest.mark.parametrize("text", ORBIT_SPECS)
+    def test_equals_scalar_scan(self, text):
+        alpha = D.AlphaSpec.parse(text)
+        psi = D.KhinchinePsi(lambda n: 1.0 / (n * math.log(n + 1) ** 1.5))
+        best, arg = math.inf, 0
+        for n in range(1, 2001):
+            v = D.nearest_int_dist(alpha, n)[0] / psi(n)
+            if v < best:
+                best, arg = v, n
+            if best == 0.0:
+                break
+        assert D.khinchine_r(alpha, psi, 2000) == (best, arg)
 
 
 def test_oracle_thread_safety():

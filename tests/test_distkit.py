@@ -105,6 +105,19 @@ class TestConvolve:
 
 
 class TestZnDist:
+    @pytest.mark.parametrize("ints", [(7,), (3, 7), (2, 3, 5),
+                                      (5404319552844595, 12609, 1, 98)])
+    def test_running_multinomials(self, ints):
+        for n in (0, 1, 2, 9, 40):
+            got = list(K._multinomials(n, ints))
+            assert [c for c, _ in got] == list(K._compositions(n, len(ints)))
+            for counts, value in got:
+                want, total = 1, 0
+                for k, w in zip(counts, ints):
+                    total += k
+                    want *= math.comb(total, k) * w ** k
+                assert value == want
+
     def test_n1(self):
         z = K.zn_dist(K.bernoulli_pm(1), 1)
         assert np.allclose(z.positions, [-1, 1])

@@ -7,7 +7,7 @@ from scipy.special import ndtr
 from cltdioph import distkit as K
 from cltdioph import rates as R
 from cltdioph.dioph import AlphaSpec
-from cltdioph.errors import TooFewPoints
+from cltdioph.errors import PrecisionExhausted, TooFewPoints
 
 SQRT2 = AlphaSpec.surd(0, 1, 1, 2)
 GOLDEN = AlphaSpec.surd(1, 1, 2, 5)
@@ -162,6 +162,30 @@ class TestStarDiscrepancy:
     def test_precondition(self):
         with pytest.raises(ValueError):
             R.star_discrepancy(SQRT2, 0)
+
+    @pytest.mark.parametrize("text", [
+        "surd:0,1,1,2", "surd:-3,-1,7,11", "cf:7;1,2,periodic:3", "rat:3/7",
+        "rat:-5/3", "dec:0." + "1415926535" * 7])
+    def test_equals_sorted_points_loop(self, text):
+        alpha = AlphaSpec.parse(text)
+        frac = alpha.approx(64)
+        num, den = frac.numerator, frac.denominator
+        for n in (1, 2, 37, 1000, 4096):
+            pts = sorted((k * num % den) / den for k in range(1, n + 1))
+            best = 0.0
+            for i, x in enumerate(pts, start=1):
+                best = max(best, i / n - x, x - (i - 1) / n)
+            assert R.star_discrepancy(alpha, n) == best
+
+    def test_bench_value(self):
+        assert R.star_discrepancy(AlphaSpec.surd(0, 1, 1, 5), 65536) \
+            == 6.015483097485119e-05
+
+    def test_short_budget_raises(self):
+        with pytest.raises(PrecisionExhausted,
+                           match="decimal spec certifies at most 35 bits, "
+                                 "64 requested"):
+            R.star_discrepancy(AlphaSpec.parse("dec:1.41421356237"), 16)
 
 
 class TestCompare:
