@@ -6,9 +6,9 @@ requested bit count B, an integer mantissa M with |alpha - M/2^B| < 2^-B.
 Everything downstream (distance to the nearest integer, irrationality-type
 scans, Khinchine infima) consumes that oracle and either certifies its
 answer or raises PrecisionExhausted.  Scans over n = 1..N read the orbit
-off one 64-bit mantissa in a single numpy pass (``orbit_residues``,
-``orbit_dists``); only the entries that pass cannot certify go back to the
-scalar ``nearest_int_dist``.
+off one 64-bit mantissa in numpy passes (``orbit_residues``,
+``orbit_dists``); only the entries that the 64-bit pass cannot certify go
+back to the scalar ``nearest_int_dist``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -415,8 +415,8 @@ def nearest_int_dist(alpha: AlphaSpec, n: int) -> tuple[float, float]:
         bits = min(2 * bits, cap)
 
 
-def orbit_residues(alpha: AlphaSpec, n_max: int) -> np.ndarray:
-    """r_n = n*M mod 2^64 for n = 1..n_max, M = ``alpha.mantissa(64)``.
+def orbit_residues(alpha: AlphaSpec, n_max: int, n_min: int = 1) -> np.ndarray:
+    """r_n = n*M mod 2^64 for n = n_min..n_max, M = ``alpha.mantissa(64)``.
 
     One wrapping ``np.uint64`` multiply gives the exact residues (M is
     taken mod 2^64, which is right for negative alpha too).  Since
@@ -425,47 +425,51 @@ def orbit_residues(alpha: AlphaSpec, n_max: int) -> np.ndarray:
     Raises PrecisionExhausted when alpha has no 64-bit mantissa.
     """
     m = np.uint64(alpha.mantissa(64) & _MASK64)
-    return np.arange(1, n_max + 1, dtype=np.uint64) * m
+    return np.arange(n_min, n_max + 1, dtype=np.uint64) * m
 
 
-def _dists_64(alpha: AlphaSpec, n_max: int) -> np.ndarray:
-    """||n alpha|| for n = 1..n_max where nearest_int_dist's 64-bit test
-    certifies it, NaN elsewhere; a rational orbit is exact."""
-    ns = np.arange(1, n_max + 1, dtype=np.uint64)
+#: from n = 2^23 on, 41 + n.bit_length() > 64: nearest_int_dist starts
+#: above 64 bits, so the 64-bit pass stops below it
+_N64 = 1 << 23
+#: the 64-bit pass runs on blocks of this many n
+_BLOCK = 1 << 16
+
+
+def _dists_64(alpha: AlphaSpec, n_min: int, n_max: int) -> list[float]:
+    """||n alpha|| for n = n_min..n_max < 2^23 where nearest_int_dist's
+    64-bit test certifies it, NaN elsewhere (every n for rational alpha)."""
     if alpha.is_rational:
-        # the orbit of p/q has period q
-        q = alpha.exact_fraction().denominator
-        head = [nearest_int_dist(alpha, n)[0]
-                for n in range(1, min(n_max, q) + 1)]
-        return np.resize(np.array(head, dtype=float), ns.size)
+        return [math.nan] * (n_max - n_min + 1)
     try:
-        r = orbit_residues(alpha, n_max)
+        r = orbit_residues(alpha, n_max, n_min)
     except PrecisionExhausted:
-        return np.full(ns.size, np.nan)  # the scalar path reports the budget
+        # the scalar path reports the budget
+        return [math.nan] * (n_max - n_min + 1)
     dist = np.minimum(r, -r) / 2.0 ** 64
-    err = ns / 2.0 ** 64
-    # nearest_int_dist starts above 64 bits once 41 + n.bit_length() > 64
-    ok = (ns < 1 << 23) & (dist > err) & (np.abs(dist - 0.5) > err)
-    return np.where(ok, dist, np.nan)
+    err = np.arange(n_min, n_max + 1) / 2.0 ** 64
+    ok = (dist > err) & (np.abs(dist - 0.5) > err)
+    return np.where(ok, dist, np.nan).tolist()
 
 
-def orbit_dists(alphas: Sequence[AlphaSpec], n_max: int) -> np.ndarray:
-    """||n alpha_k|| for n = 1..n_max, as an array of shape (k, n_max).
+def orbit_dists(alpha: AlphaSpec, n_max: int) -> Iterator[float]:
+    """Yield ||n alpha|| for n = 1..n_max, each equal to
+    ``nearest_int_dist(alpha, n)[0]`` bit for bit.
 
-    Entry (k, n - 1) equals ``nearest_int_dist(alphas[k], n)[0]`` bit for
-    bit.  Each irrational orbit comes from ``orbit_residues``: the distance
+    For n < 2^23 the distances come in blocks from ``orbit_residues``:
     min(r_n, 2^64 - r_n) / 2^64 is kept where it passes the exact test
     ``nearest_int_dist`` applies at 64 bits, i.e. err = n 2^-64 < 2^-40,
-    dist > err and |dist - 1/2| > err, and where 41 + n.bit_length() <= 64.
-    Every other entry is redone by ``nearest_int_dist`` itself, in order of
-    n and then of k, so the scalar routine stays the only certification
-    path and raises the error a loop over n would raise first.  A rational
-    orbit is computed exactly over one period.
+    dist > err and |dist - 1/2| > err.  Every other entry, every n from
+    2^23 on and every n of a rational alpha is computed by
+    ``nearest_int_dist`` itself, when it is reached.  So the scalar routine
+    stays the only certification path, and a caller that does other work
+    per n meets errors in the order of a loop over n.
     """
-    dists = np.stack([_dists_64(a, n_max) for a in alphas])
-    for i, k in np.argwhere(np.isnan(dists.T)).tolist():
-        dists[k, i] = nearest_int_dist(alphas[k], i + 1)[0]
-    return dists
+    for lo in range(1, min(n_max, _N64 - 1) + 1, _BLOCK):
+        hi = min(lo + _BLOCK - 1, n_max, _N64 - 1)
+        for n, dist in enumerate(_dists_64(alpha, lo, hi), start=lo):
+            yield nearest_int_dist(alpha, n)[0] if math.isnan(dist) else dist
+    for n in range(_N64, n_max + 1):
+        yield nearest_int_dist(alpha, n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -494,35 +498,23 @@ def type_estimate(alpha: AlphaSpec, n_max: int) -> TypeEstimate:
     ||n alpha|| = 0 anywhere on the horizon) and the chain up to that hit.
 
     The distances come from ``orbit_dists`` (one 64-bit residue per n, the
-    scalar ``nearest_int_dist`` redoing what that cannot certify).  numpy's
-    log only preselects candidates: with |eta~_n - eta_n| <= delta, a record
-    has eta~_n > max_{m<n} eta~_m - 2 delta, and the slack of 1e-9 (1 +
-    running max) exceeds 2 delta by orders of magnitude (both logs are
-    accurate to a few ulps).  So no record is left out, and as the running
-    max over all n is attained at records, the records over the candidates,
-    computed with ``math.log``, are the records over all n.
+    scalar ``nearest_int_dist`` for what that cannot certify); the ratios
+    are taken with ``math.log``, one per n.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     n_min = max(2, isqrt(n_max))
-    dists = orbit_dists([alpha], n_max)[0]
-    zeros = np.flatnonzero(dists == 0.0)
-    end = int(zeros[0]) if zeros.size else n_max  # n = end + 1 hits 0
-    window = dists[n_min - 1:end]
-    ns = np.arange(n_min, n_min + window.size)
-    eta = np.log(1.0 / (2.0 * window)) / np.log(ns)
-    best = np.maximum.accumulate(eta)
-    candidates = np.flatnonzero(eta >= best - 1e-9 * (1.0 + best))
     eta_hat = float("-inf")
     chain: list[tuple[int, float, float]] = []
-    for i in candidates.tolist():
-        n, dist = n_min + i, float(window[i])
+    for n, dist in enumerate(orbit_dists(alpha, n_max), start=1):
+        if dist == 0.0:
+            return TypeEstimate(math.inf, chain, n_max, degenerate=True)
+        if n < n_min:
+            continue
         eta_n = math.log(1.0 / (2.0 * dist)) / math.log(n)
         if eta_n > eta_hat:
             eta_hat = eta_n
             chain.append((n, dist, n ** eta_n * dist))
-    if zeros.size:
-        return TypeEstimate(math.inf, chain, n_max, degenerate=True)
     return TypeEstimate(eta_hat, chain, n_max)
 
 
@@ -543,7 +535,8 @@ def eps_profile(alphas: Sequence[AlphaSpec], n_max: int,
                 eta_prime: Optional[float] = None) -> EpsProfile:
     if not alphas:
         raise ValueError("need at least one alpha")
-    values = orbit_dists(alphas, n_max).max(axis=0).tolist()
+    scans = [orbit_dists(a, n_max) for a in alphas]
+    values = [max(dists) for dists in zip(*scans)]
     diag = None
     if eta is not None:
         ep = eta_prime if eta_prime is not None else 0.0
@@ -574,8 +567,7 @@ def khinchine_r(alpha: AlphaSpec, psi: KhinchinePsi,
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     best, arg = math.inf, 0
-    dists = orbit_dists([alpha], n_max)[0].tolist()
-    for n, dist in enumerate(dists, start=1):
+    for n, dist in enumerate(orbit_dists(alpha, n_max), start=1):
         v = dist / psi(n)
         if v < best:
             best, arg = v, n

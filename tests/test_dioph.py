@@ -232,10 +232,8 @@ class TestOrbitKernel:
     @pytest.mark.parametrize("text", ORBIT_SPECS)
     def test_equals_scalar(self, text):
         alpha = D.AlphaSpec.parse(text)
-        got = D.orbit_dists([alpha], 3000)
-        assert got.shape == (1, 3000)
-        assert got[0].tolist() == [D.nearest_int_dist(alpha, n)[0]
-                                   for n in range(1, 3001)]
+        assert list(D.orbit_dists(alpha, 3000)) == \
+            [D.nearest_int_dist(alpha, n)[0] for n in range(1, 3001)]
 
     @pytest.mark.parametrize("text, failing", [
         (BIG_QUOTIENT, list(range(303, 3001, 303))),
@@ -253,11 +251,32 @@ class TestOrbitKernel:
             return scalar(a, n)
 
         monkeypatch.setattr(D, "nearest_int_dist", counted)
-        got = D.orbit_dists([alpha], 3000)[0].tolist()
+        got = list(D.orbit_dists(alpha, 3000))
         assert [n for n in range(1, 3001)
                 if fails_64_bit_test(alpha, n)] == failing
         assert calls == failing
         assert got == want
+
+    @pytest.mark.parametrize("text", [BIG_QUOTIENT, "surd:0,1,1,2"])
+    def test_block_edges(self, monkeypatch, text):
+        # blocks of 7, and the 64-bit pass cut at 200 instead of 2^23:
+        # every n from the cut on takes the scalar path
+        alpha = D.AlphaSpec.parse(text)
+        want = [D.nearest_int_dist(alpha, n)[0] for n in range(1, 301)]
+        calls = []
+        scalar = D.nearest_int_dist
+
+        def counted(a, n):
+            calls.append(n)
+            return scalar(a, n)
+
+        monkeypatch.setattr(D, "nearest_int_dist", counted)
+        monkeypatch.setattr(D, "_BLOCK", 7)
+        monkeypatch.setattr(D, "_N64", 200)
+        assert list(D.orbit_dists(alpha, 300)) == want
+        assert calls == [n for n in range(1, 200)
+                         if fails_64_bit_test(alpha, n)] + \
+            list(range(200, 301))
 
     def test_residues_are_exact(self):
         for text in ("surd:0,1,1,2", "surd:-3,-1,7,11", "rat:-5/3",
@@ -403,6 +422,17 @@ class TestKhinchineR:
         psi = D.KhinchinePsi(lambda n: -1.0)
         with pytest.raises(ValueError):
             D.khinchine_r(SQRT2, psi, 3)
+
+    def test_psi_error_before_later_short_budget(self):
+        # 3 alpha is 1e-20 below 1, inside the error of the 65 bits
+        # that 20 digits certify: the scan fails at n = 3
+        third = D.AlphaSpec.parse("dec:0." + "3" * 20)
+        with pytest.raises(PrecisionExhausted,
+                           match=r"cannot separate 3\*alpha .* 65 bits"):
+            D.khinchine_r(third, D.KhinchinePsi(lambda n: 1.0), 10)
+        psi = D.KhinchinePsi(lambda n: 1.0 if n < 2 else -1.0)
+        with pytest.raises(ValueError, match=r"psi\(2\) = -1.0"):
+            D.khinchine_r(third, psi, 10)
 
     def test_horizon_checked(self):
         psi = D.KhinchinePsi(lambda n: 1.0)
