@@ -174,7 +174,6 @@ class Prop51Row:
     n: int
     delta_n: float
     violations: int
-    checked: int
     c_fit: float
 
 
@@ -222,8 +221,7 @@ def prop51_check(base: DiscreteDist, n_list, p: float, q: float,
                     * math.log(n + 1.0) ** (q + 0.5)
                 c_fit = max(c_fit, bound / denom)
         rows.append(Prop51Row(n=int(n), delta_n=delta,
-                              violations=violations, checked=len(grid),
-                              c_fit=c_fit))
+                              violations=violations, c_fit=c_fit))
     fits = [r.c_fit for r in rows if r.c_fit > 0]
     spread = max(fits) / min(fits) if fits else math.inf
     return Prop51Report(tuple(rows), symmetric, spread)

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .dioph import AlphaSpec
+from .dioph import AlphaSpec, orbit_residues
 from .errors import InsufficientPeaks, PrecisionExhausted
 
 #: above this |t * alpha| the extended-precision path is no longer certified
@@ -32,7 +32,7 @@ assert _BRACKET < math.pi / 2
 
 _LONG = np.longdouble
 _TWO = _LONG(2.0)
-_BITS = 128  # mantissa width read by _alpha_longdouble and _record_floor
+_BITS = 128  # mantissa width read by _alpha_longdouble
 
 
 def _alpha_longdouble(alpha: AlphaSpec) -> np.longdouble:
@@ -214,47 +214,41 @@ def _refine_peak(spec: CharSpec, center: float) -> tuple[float, float]:
     return float(res.x), float(-res.fun)
 
 
-def _record_floor(spec: CharSpec) -> Callable[[int], float]:
-    """n -> L_n <= 1 - |f(s)| for every s with |s - pi n| <= _BRACKET.
+def _record_floor(spec: CharSpec, n_hi: int) -> np.ndarray:
+    """L_n, n = 1..n_hi, with L_n <= 1 - |f(s)| for every |s - pi n| <= _BRACKET.
 
-    Put s = pi (n + x) with |x| < 1/2 and d_k = ||n alpha_k|| (exact from
-    the mantissa, less its error n 2^-128); then ||alpha_k s / pi|| >=
-    max(0, d_k - |alpha_k| |x|).  For a product |cos(pi y)| <=
-    exp(-pi^2 ||y||^2 / 2) on cos(s) and the k-th factor, minimised over x,
-    gives 1 - |f| >= -expm1(-(pi^2/2) d_k^2 / (1 + alpha_k^2)); for a
-    mixture 1 - |cos(pi y)| >= 4 ||y||^2 gives 1 - |f| >= 4 p0 pk d_k^2 /
-    (p0 + pk alpha_k^2) - |sum p - 1|.  L_n is the largest over k.  An
-    alpha without a 128-bit mantissa takes d_k = 0.
+    Put s = pi (n + x) with |x| < 1/2 and d_k = ||n alpha_k||, read off the
+    64-bit residues of ``orbit_residues`` less their error n 2^-64; then
+    ||alpha_k s / pi|| >= max(0, d_k - |alpha_k| |x|).  For a product
+    |cos(pi y)| <= exp(-pi^2 ||y||^2 / 2) on cos(s) and the k-th factor,
+    minimised over x, gives 1 - |f| >= -expm1(-(pi^2/2) d_k^2 / (1 +
+    alpha_k^2)); for a mixture 1 - |cos(pi y)| >= 4 ||y||^2 gives 1 - |f|
+    >= 4 p0 pk d_k^2 / (p0 + pk alpha_k^2) - |sum p - 1|.  L_n is the
+    largest over k.  An alpha without a 64-bit mantissa takes d_k = 0.
     """
     mixture = spec.weights is not None
-    terms = []  # (mantissa, coefficient of d_k^2)
+    ns = np.arange(1, n_hi + 1, dtype=np.uint64)
+    top = np.zeros(n_hi)
     for k, alpha in enumerate(spec.alphas):
         try:
-            m = alpha.mantissa(_BITS)
+            m = alpha.mantissa(64)
         except PrecisionExhausted:
             continue
-        if abs(m) >> (_BITS + 500):
+        if abs(m) >> (64 + 500):
             continue  # |alpha| >= 2^500: alpha^2 may overflow, term < 2^-995
-        a2 = math.ldexp(m, -_BITS) ** 2
+        a2 = math.ldexp(m, -64) ** 2
         if mixture:
             p0, pk = spec.weights[0], spec.weights[k + 1]
-            terms.append((m, 4.0 * p0 * pk / (p0 + pk * a2)))
+            c = 4.0 * p0 * pk / (p0 + pk * a2)
         else:
-            terms.append((m, math.pi ** 2 / 2.0 / (1.0 + a2)))
-    slack = abs(math.fsum(spec.weights) - 1.0) if mixture else 0.0
-    one = 1 << _BITS
-
-    def floor(n: int) -> float:
-        top = 0.0
-        for m, c in terms:
-            r = (n * m) % one
-            num = min(r, one - r) - n
-            if num > 0:
-                d = math.ldexp(num, -_BITS)
-                top = max(top, c * d * d)
-        return top - slack if mixture else -math.expm1(-top)
-
-    return floor
+            c = math.pi ** 2 / 2.0 / (1.0 + a2)
+        r = orbit_residues(alpha, n_hi)
+        d = np.minimum(r, -r)
+        d = np.where(d > ns, d - ns, 0) / 2.0 ** 64
+        top = np.maximum(top, c * d * d)
+    if mixture:
+        return top - abs(math.fsum(spec.weights) - 1.0)
+    return -np.expm1(-top)
 
 
 def growth_fit(spec: CharSpec, t_max: float, n_peaks: int = 8) -> GrowthFit:
@@ -269,9 +263,9 @@ def growth_fit(spec: CharSpec, t_max: float, n_peaks: int = 8) -> GrowthFit:
     the single sharpest resonance and leave the exponent unidentifiable.
 
     Most candidates cannot be records, and their searches are skipped:
-    over the search bracket around pi n, 1 - |f| >= L_n, a bound from
-    ||n alpha_k|| through |cos(pi y)| <= exp(-pi^2 ||y||^2 / 2) (products)
-    or 1 - |cos(pi y)| >= 4 ||y||^2 (mixtures), see _record_floor.  A
+    over the search bracket around pi n, 1 - |f| >= L_n, a bound from the
+    64-bit residues of n alpha_k (``dioph.orbit_residues``) through the
+    cosine inequalities; _record_floor gives L_n for every n at once.  A
     search is run unless L_n - 1e-12 >= the current record level.  The
     search returns |f| at a point of its bracket, so a skipped candidate
     could be neither a record nor an exact return to |f| = 1 (the margin
@@ -292,9 +286,8 @@ def growth_fit(spec: CharSpec, t_max: float, n_peaks: int = 8) -> GrowthFit:
             f"only {n_hi} candidate peaks below t_max={t_max}")
     records: list[tuple[float, float]] = []
     best = 0.5  # near-peak regime cutoff doubles as the first record level
-    floor = _record_floor(spec)
-    for n in range(1, n_hi + 1):
-        if floor(n) - 1e-12 >= best:
+    for n, low in enumerate(_record_floor(spec, n_hi).tolist(), start=1):
+        if low - 1e-12 >= best:
             continue
         t_peak, f_peak = _refine_peak(spec, math.pi * n)
         one_minus = 1.0 - f_peak

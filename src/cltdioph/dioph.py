@@ -198,10 +198,9 @@ class AlphaSpec:
     def to_float(self) -> float:
         if self.is_rational:
             return float(self._frac)
-        bits = 80
         if self.kind == "dec":
-            bits = min(bits, self._max_bits)
-        return self.mantissa(bits) / float(1 << bits)
+            return float(self._value)
+        return self.mantissa(80) / float(1 << 80)
 
     def _mantissa_uncached(self, bits: int) -> int:
         if self.kind == "rat":
@@ -379,12 +378,21 @@ def convergents(cf: ContinuedFraction, k: int) -> list[Fraction]:
 # nearest-integer distance
 
 
+def _certified(d, n, bits: int):
+    """Whether d = min(r, 2^bits - r), r = n*M mod 2^bits for a mantissa M
+    of alpha, certifies ||n alpha|| = d / 2^bits within n 2^-bits: n*alpha
+    is then strictly between the same integer and half-integer as n*M /
+    2^bits.  Takes Python ints, or ``np.uint64`` arrays elementwise."""
+    return (n < d) & (d < (1 << (bits - 1)) - n)
+
+
 def nearest_int_dist(alpha: AlphaSpec, n: int) -> tuple[float, float]:
     """(||n*alpha||, certified absolute error bound < 2^-40).
 
-    Doubles the oracle bit budget until the nearest integer to n*alpha is
-    unambiguous and the distance separates from 0 and 1/2 by more than the
-    error bound.  Raises PrecisionExhausted at the budget ceiling.
+    Doubles the oracle bit budget B, from max(64, 41 + n.bit_length()),
+    until the residue d = min(r, 2^B - r) of r = n*M mod 2^B passes
+    ``_certified``, and returns d / 2^B and n / 2^B.  Raises
+    PrecisionExhausted at the budget ceiling.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -401,14 +409,11 @@ def nearest_int_dist(alpha: AlphaSpec, n: int) -> tuple[float, float]:
         raise PrecisionExhausted(
             f"need {bits} bits to certify ||{n}*alpha||, budget is {cap}")
     while True:
-        m = alpha.mantissa(bits)
-        r = (n * m) % (1 << bits)          # fractional part numerator
-        dist_num = min(r, (1 << bits) - r)
-        err = n / float(1 << bits)          # |n*alpha - n*m/2^bits|
-        dist = dist_num / float(1 << bits)
-        half_gap = abs(dist - 0.5)
-        if err < 2.0 ** -40 and dist > err and half_gap > err:
-            return dist, err
+        one = 1 << bits
+        r = n * alpha.mantissa(bits) % one
+        d = min(r, one - r)
+        if _certified(d, n, bits):
+            return d / one, n / one
         if bits >= cap:
             raise PrecisionExhausted(
                 f"cannot separate {n}*alpha from 0 or 1/2 within {cap} bits")
@@ -436,8 +441,8 @@ _BLOCK = 1 << 16
 
 
 def _dists_64(alpha: AlphaSpec, n_min: int, n_max: int) -> list[float]:
-    """||n alpha|| for n = n_min..n_max < 2^23 where nearest_int_dist's
-    64-bit test certifies it, NaN elsewhere (every n for rational alpha)."""
+    """||n alpha|| for n = n_min..n_max < 2^23 where the 64-bit residue
+    passes ``_certified``, NaN elsewhere (every n for rational alpha)."""
     if alpha.is_rational:
         return [math.nan] * (n_max - n_min + 1)
     try:
@@ -445,10 +450,9 @@ def _dists_64(alpha: AlphaSpec, n_min: int, n_max: int) -> list[float]:
     except PrecisionExhausted:
         # the scalar path reports the budget
         return [math.nan] * (n_max - n_min + 1)
-    dist = np.minimum(r, -r) / 2.0 ** 64
-    err = np.arange(n_min, n_max + 1) / 2.0 ** 64
-    ok = (dist > err) & (np.abs(dist - 0.5) > err)
-    return np.where(ok, dist, np.nan).tolist()
+    d = np.minimum(r, -r)
+    ok = _certified(d, np.arange(n_min, n_max + 1, dtype=np.uint64), 64)
+    return np.where(ok, d / 2.0 ** 64, np.nan).tolist()
 
 
 def orbit_dists(alpha: AlphaSpec, n_max: int) -> Iterator[float]:
@@ -456,13 +460,13 @@ def orbit_dists(alpha: AlphaSpec, n_max: int) -> Iterator[float]:
     ``nearest_int_dist(alpha, n)[0]`` bit for bit.
 
     For n < 2^23 the distances come in blocks from ``orbit_residues``:
-    min(r_n, 2^64 - r_n) / 2^64 is kept where it passes the exact test
-    ``nearest_int_dist`` applies at 64 bits, i.e. err = n 2^-64 < 2^-40,
-    dist > err and |dist - 1/2| > err.  Every other entry, every n from
-    2^23 on and every n of a rational alpha is computed by
-    ``nearest_int_dist`` itself, when it is reached.  So the scalar routine
-    stays the only certification path, and a caller that does other work
-    per n meets errors in the order of a loop over n.
+    d_n / 2^64, d_n = min(r_n, 2^64 - r_n), is kept where ``_certified``
+    passes, the test ``nearest_int_dist`` applies at 64 bits.  Every other
+    entry, every n from 2^23 on (where ``nearest_int_dist`` starts above 64
+    bits) and every n of a rational alpha is computed by
+    ``nearest_int_dist`` itself, when it is reached.  So one predicate
+    certifies every value, scans keep constant memory, and a caller that
+    does other work per n meets errors in the order of a loop over n.
     """
     for lo in range(1, min(n_max, _N64 - 1) + 1, _BLOCK):
         hi = min(lo + _BLOCK - 1, n_max, _N64 - 1)

@@ -74,6 +74,9 @@ class DiscreteDist:
             raise ValueError("positions and weights must be matching 1-d arrays")
         if positions.size == 0:
             raise ValueError("distribution needs at least one atom")
+        if not (np.all(np.isfinite(positions)) and np.all(weights >= 0)):
+            raise ValueError("positions must be finite and weights "
+                             "nonnegative")
         if np.any(weights == 0.0):
             # drop atoms whose weight underflowed to an exact zero
             keep = weights > 0.0
@@ -87,8 +90,6 @@ class DiscreteDist:
             lattice = LatticeTag(lattice.alphas, lattice.coords[order],
                                  lattice.scale)
         positions, weights, lattice = _merge_atoms(positions, weights, lattice)
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
         total = float(np.sum(weights, dtype=np.float128))
         if abs(total - 1.0) > _MASS_TOL:
             raise ValueError(f"weights sum to {total}, not 1")

@@ -138,11 +138,8 @@ def star_discrepancy(alpha: AlphaSpec, n: int) -> float:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    alpha: str
     delta_fit: RateFit
     dstar_fit: RateFit
-    delta_rows: tuple[tuple[int, float], ...]
-    dstar_rows: tuple[tuple[int, float], ...]
 
 
 def compare_16_vs_17(alpha: AlphaSpec, n_list_delta,
@@ -152,18 +149,11 @@ def compare_16_vs_17(alpha: AlphaSpec, n_list_delta,
     targets are 1/n."""
     if n_list_dstar is None:
         n_list_dstar = n_list_delta
-    base = product_bernoulli([alpha])
-    sweep = delta_sweep(base, n_list_delta)
-    delta_rows = tuple((r.n, r.delta_phi) for r in sweep.rows)
-    dstar_rows = tuple((int(n), star_discrepancy(alpha, int(n)))
-                       for n in n_list_dstar)
+    sweep = delta_sweep(product_bernoulli([alpha]), n_list_delta)
     return ComparisonReport(
-        alpha=str(alpha),
-        delta_fit=rate_fit([n for n, _ in delta_rows],
-                           [d for _, d in delta_rows]),
-        dstar_fit=rate_fit([n for n, _ in dstar_rows],
-                           [d for _, d in dstar_rows], logpow=False),
-        delta_rows=delta_rows,
-        dstar_rows=dstar_rows,
+        delta_fit=rate_fit([r.n for r in sweep.rows],
+                           [r.delta_phi for r in sweep.rows]),
+        dstar_fit=rate_fit(n_list_dstar,
+                           [star_discrepancy(alpha, int(n))
+                            for n in n_list_dstar], logpow=False),
     )
-

@@ -50,6 +50,15 @@ class TestDelta:
             b' "side": "right",\n "error_bound": 0.0,\n "target": "phi",\n'
             b' "base": "prod:",\n "config": "61c165ea847e"\n}\n')
 
+    def test_decimal_step_is_its_value(self, capsys):
+        # the decimal's own value, not one rounded to its certified bits
+        deltas = []
+        for base in ("prod:dec:1.3", "prod:rat:13/10"):
+            code, out, _ = run(capsys, "delta", "--base", base, "--n", "4")
+            assert code == 0
+            deltas.append(float(out.split()[1]))
+        assert abs(deltas[0] - deltas[1]) < 1e-15
+
     def test_windowed_product_output_unchanged(self, capsys):
         code, out, _ = run(capsys, "delta", "--base", "prod:surd:0,1,1,11",
                            "--n", "4096", "--target", "phi3")

@@ -53,6 +53,11 @@ class TestAlphaSpec:
         with pytest.raises(PrecisionExhausted):
             a.mantissa(200)
 
+    def test_decimal_to_float_is_its_value(self):
+        assert D.AlphaSpec.parse("dec:1").to_float() == 1.0
+        assert abs(D.AlphaSpec.parse("dec:1.3").to_float()
+                   - D.AlphaSpec.parse("rat:13/10").to_float()) < 1e-15
+
     def test_parse_roundtrip(self):
         for text in ["surd:0,1,1,2", "rat:5/3", "dec:0.125",
                      "cf:1;periodic:2", "cf:0;1,2,periodic:3,4"]:
@@ -179,6 +184,12 @@ class TestNearestIntDist:
             v, _ = D.nearest_int_dist(GOLDEN, n)
             assert 0.0 < v <= 0.5
 
+    def test_near_half_integer(self):
+        # the residue test certifies ||133 alpha|| at 128 bits; it lies
+        # below 1/2 by less than half an ulp of 1/2, so it rounds to 0.5
+        v, err = D.nearest_int_dist(D.AlphaSpec.parse(NEAR_HALF), 133)
+        assert v == 0.5 and 0.0 < err < 2.0 ** -40
+
 
 @given(st.floats(-50, 50), st.floats(-50, 50))
 def test_nearest_dist_metric_properties(x, y):
@@ -196,9 +207,12 @@ def test_nearest_dist_metric_properties(x, y):
 BIG_QUOTIENT = "cf:0;2,3,5,8,1000000000000000,periodic:1"
 # 1/2800 + sqrt(2)/2^65: 1400 alpha is within the 64-bit error of 1/2
 HALF_GAP = "surd:36893488147419103232,2800,103301766812773489049600,2"
+# about 115/266: 133 alpha is within 2^-54 of a half-integer, so a float
+# test of |dist - 1/2| never separates it
+NEAR_HALF = "cf:0;2,3,5,7,1000000000000000,periodic:1"
 ORBIT_SPECS = ["surd:0,1,1,2", "surd:0,1,1,10", "cf:1;periodic:1", "rat:3/7",
                "dec:0." + "1415926535" * 7, BIG_QUOTIENT, HALF_GAP,
-               "surd:-3,-1,7,11"]
+               "surd:-3,-1,7,11", NEAR_HALF]
 DEC35 = "dec:1.41421356237"  # certifies 35 bits
 
 

@@ -73,6 +73,23 @@ class TestConstructors:
         with pytest.raises(ValueError):
             K.mixture([(0.6, K.bernoulli_pm(1)), (0.6, K.bernoulli_pm(2))])
 
+    @pytest.mark.parametrize("positions, weights", [
+        ([0.0, 1.0], [0.5, math.nan]),
+        ([0.0, math.nan], [0.5, 0.5]),
+        ([0.0, math.inf], [0.5, 0.5]),
+        # an exact zero must not hide a negative weight
+        ([0.0, 1.0, 2.0], [0.0, 1.0 + 1e-14, -1e-14]),
+        ([0.0, 1.0], [1.5, -0.5]),
+    ])
+    def test_rejects_bad_atoms(self, positions, weights):
+        with pytest.raises(ValueError, match="finite .* nonnegative"):
+            K.DiscreteDist(np.array(positions), np.array(weights))
+
+    def test_drops_exact_zero_weights(self):
+        d = K.DiscreteDist(np.array([0.0, 1.0, 2.0]),
+                           np.array([0.5, 0.0, 0.5]))
+        assert d.positions.tolist() == [0.0, 2.0]
+
 
 class TestConvolve:
     def test_binomial(self):
