@@ -30,18 +30,28 @@ _F128_LIMIT = 1.0e6
 _BRACKET = 1.0
 assert _BRACKET < math.pi / 2
 
+#: growth_fit builds its skip bound for this many candidates at a time
+_FLOOR_BLOCK = 1 << 16
+
 _LONG = np.longdouble
 _TWO = _LONG(2.0)
 _BITS = 128  # mantissa width read by _alpha_longdouble
 
 
+def _exact(alpha: AlphaSpec) -> AlphaSpec:
+    """The spec a step is evaluated from.  A dec: step is its decimal
+    value, so it is read as the rat: spec of that value, whose oracle gives
+    every bit count (a dec: oracle certifies only as many bits as its
+    digits do)."""
+    if alpha.kind != "dec":
+        return alpha
+    value = alpha.exact_fraction()
+    return AlphaSpec.rational(value.numerator, value.denominator)
+
+
 def _alpha_longdouble(alpha: AlphaSpec) -> np.longdouble:
     """Alpha as a long double via a hi/lo split of the 128-bit mantissa."""
-    try:
-        m = alpha.mantissa(_BITS)
-    except PrecisionExhausted:
-        return _LONG(alpha.to_float())
-    hi, lo = divmod(m, 1 << 64)
+    hi, lo = divmod(_exact(alpha).mantissa(_BITS), 1 << 64)
     return _LONG(hi) * _TWO ** -64 + _LONG(lo) * _TWO ** -_BITS
 
 
@@ -53,10 +63,7 @@ def _cos_scaled(alpha: AlphaSpec, alpha_ld: np.longdouble, t: float) -> float:
     import mpmath  # here, not at module level: no other path needs it
 
     bits = 128 + max(0, int(math.log2(abs(t))))
-    try:
-        frac = alpha.approx(bits)
-    except PrecisionExhausted:
-        frac = alpha.approx(64)
+    frac = _exact(alpha).approx(bits)
     with mpmath.workdps(int(bits * 0.302) + 20):
         a = mpmath.mpf(frac.numerator) / frac.denominator
         return float(mpmath.cos(a * t))
@@ -214,8 +221,9 @@ def _refine_peak(spec: CharSpec, center: float) -> tuple[float, float]:
     return float(res.x), float(-res.fun)
 
 
-def _record_floor(spec: CharSpec, n_hi: int) -> np.ndarray:
-    """L_n, n = 1..n_hi, with L_n <= 1 - |f(s)| for every |s - pi n| <= _BRACKET.
+def _record_floor(spec: CharSpec, n_hi: int, n_lo: int = 1) -> np.ndarray:
+    """L_n, n = n_lo..n_hi, with L_n <= 1 - |f(s)| for every
+    |s - pi n| <= _BRACKET.
 
     Put s = pi (n + x) with |x| < 1/2 and d_k = ||n alpha_k||, read off the
     64-bit residues of ``orbit_residues`` less their error n 2^-64; then
@@ -227,8 +235,8 @@ def _record_floor(spec: CharSpec, n_hi: int) -> np.ndarray:
     largest over k.  An alpha without a 64-bit mantissa takes d_k = 0.
     """
     mixture = spec.weights is not None
-    ns = np.arange(1, n_hi + 1, dtype=np.uint64)
-    top = np.zeros(n_hi)
+    ns = np.arange(n_lo, n_hi + 1, dtype=np.uint64)
+    top = np.zeros(ns.size)
     for k, alpha in enumerate(spec.alphas):
         try:
             m = alpha.mantissa(64)
@@ -242,7 +250,7 @@ def _record_floor(spec: CharSpec, n_hi: int) -> np.ndarray:
             c = 4.0 * p0 * pk / (p0 + pk * a2)
         else:
             c = math.pi ** 2 / 2.0 / (1.0 + a2)
-        r = orbit_residues(alpha, n_hi)
+        r = orbit_residues(alpha, n_hi, n_lo)
         d = np.minimum(r, -r)
         d = np.where(d > ns, d - ns, 0) / 2.0 ** 64
         top = np.maximum(top, c * d * d)
@@ -265,7 +273,8 @@ def growth_fit(spec: CharSpec, t_max: float, n_peaks: int = 8) -> GrowthFit:
     Most candidates cannot be records, and their searches are skipped:
     over the search bracket around pi n, 1 - |f| >= L_n, a bound from the
     64-bit residues of n alpha_k (``dioph.orbit_residues``) through the
-    cosine inequalities; _record_floor gives L_n for every n at once.  A
+    cosine inequalities; _record_floor gives L_n for a block of
+    ``_FLOOR_BLOCK`` n at a time, so memory stays flat in t_max.  A
     search is run unless L_n - 1e-12 >= the current record level.  The
     search returns |f| at a point of its bracket, so a skipped candidate
     could be neither a record nor an exact return to |f| = 1 (the margin
@@ -286,17 +295,20 @@ def growth_fit(spec: CharSpec, t_max: float, n_peaks: int = 8) -> GrowthFit:
             f"only {n_hi} candidate peaks below t_max={t_max}")
     records: list[tuple[float, float]] = []
     best = 0.5  # near-peak regime cutoff doubles as the first record level
-    for n, low in enumerate(_record_floor(spec, n_hi).tolist(), start=1):
-        if low - 1e-12 >= best:
-            continue
-        t_peak, f_peak = _refine_peak(spec, math.pi * n)
-        one_minus = 1.0 - f_peak
-        if one_minus < 1e-15:
-            # an exact return to |f| = 1: rational lattice resonance
-            return GrowthFit(math.nan, None, (), math.nan, degenerate=True)
-        if t_peak >= 2.0 and one_minus < best:
-            best = one_minus
-            records.append((t_peak, one_minus))
+    for n_lo in range(1, n_hi + 1, _FLOOR_BLOCK):
+        floor = _record_floor(spec, min(n_lo + _FLOOR_BLOCK - 1, n_hi), n_lo)
+        for n, low in enumerate(floor.tolist(), start=n_lo):
+            if low - 1e-12 >= best:
+                continue
+            t_peak, f_peak = _refine_peak(spec, math.pi * n)
+            one_minus = 1.0 - f_peak
+            if one_minus < 1e-15:
+                # an exact return to |f| = 1: rational lattice resonance
+                return GrowthFit(math.nan, None, (), math.nan,
+                                 degenerate=True)
+            if t_peak >= 2.0 and one_minus < best:
+                best = one_minus
+                records.append((t_peak, one_minus))
     if len(records) < n_peaks:
         raise InsufficientPeaks(
             f"found {len(records)} record peaks, need {n_peaks}")

@@ -21,10 +21,11 @@ import numpy as np
 from . import __version__, bounds, charfn, rates
 from .charfn import CharSpec
 from .dioph import AlphaSpec
-from .distkit import bernoulli_base, kolmogorov_distance, zn_dist
-# not called here: bench/replay.py rebinds cli.moments with the other layer
-# entry points, and tests/test_bench_layers.py checks that the name exists
-from .distkit import moments  # noqa: F401
+from .distkit import bernoulli_base, kolmogorov_distance, zn_slabs
+# not called here: bench/replay.py rebinds cli.moments and cli.zn_dist with
+# the other layer entry points, and tests/test_bench_layers.py checks that
+# the names exist
+from .distkit import moments, zn_dist  # noqa: F401
 from .edgeworth import comparison_for
 from .errors import PrecisionExhausted, QuadratureFailure, SupportOverflow
 
@@ -65,8 +66,8 @@ def cmd_delta(args) -> int:
     if args.n < 1:
         raise ValueError("n must be >= 1")
     base = bernoulli_base(CharSpec.parse(args.base))
-    z = zn_dist(base, args.n)
-    res = kolmogorov_distance(z, comparison_for(args.target, base, args.n))
+    res = kolmogorov_distance(zn_slabs(base, args.n),
+                              comparison_for(args.target, base, args.n))
     print(f"{args.n} {_fmt(res.delta)} {_fmt(res.argmax)} {res.side}")
     if args.out:
         payload = {"n": args.n, "delta": res.delta, "argmax": res.argmax,
@@ -161,7 +162,7 @@ def cmd_bounds(args) -> int:
     for n in _n_list(args.n):
         t_n, _, _ = bounds.prop22_cutoff(args.p, args.q, n, args.a_const)
         rep = bounds.lemma21_rhs(base, n, max(t_n, 1.0))
-        delta = kolmogorov_distance(zn_dist(base, n),
+        delta = kolmogorov_distance(zn_slabs(base, n),
                                     comparison_for("phi", base, n)).delta
         ratio = rep.rhs_total / delta
         record = dict(asdict(rep), delta_n=delta, ratio=ratio)

@@ -174,8 +174,11 @@ class AlphaSpec:
         return self.kind == "rat"
 
     def exact_fraction(self) -> Fraction:
+        """The value of a rat: spec, or the decimal of a dec: spec."""
+        if self.kind == "dec":
+            return self._value
         if not self.is_rational:
-            raise ValueError("exact_fraction only for rational specs")
+            raise ValueError("exact_fraction only for rat: and dec: specs")
         return self._frac
 
     def mantissa(self, bits: int) -> int:

@@ -6,12 +6,15 @@ same description its characteristic function is evaluated from;
 ``bernoulli_base(spec)`` turns it into a base with a lattice tag: integer
 coordinates against the coefficient vector (1, alpha_1, ..., alpha_m), so
 atoms that coincide merge exactly and distinct atoms cannot silently
-collide.  For these bases ``zn_dist`` builds Z_n with one lattice builder,
-on integer coordinates from exact binomial rows, for products, mixtures
-and rational step heights alike; every other base goes through
-convolution powers.  The binomial rows are cut to a Hoeffding window, and
-a bound on the mass left out (``tail_mass``) is carried through
-convolutions and mixtures to ``KolmogorovResult.error_bound``.
+collide.  For these bases Z_n is a ``LatticeZn``: one lattice builder, on
+integer coordinates from exact binomial rows, for products, mixtures and
+rational step heights alike, that yields Z_n as sorted slabs in
+increasing position order.  ``kolmogorov_distance`` scans those slabs
+without ever holding Z_n whole; ``zn_dist`` concatenates them into a
+DiscreteDist, and every other base goes through convolution powers.  The
+binomial rows are cut to a Hoeffding window, and a bound on the mass left
+out (``tail_mass``) is carried through convolutions and mixtures to
+``KolmogorovResult.error_bound``.
 """
 
 from __future__ import annotations
@@ -28,14 +31,30 @@ from .charfn import CharSpec
 from .dioph import AlphaSpec
 from .errors import PrecisionExhausted, SupportOverflow
 
-#: atom-count ceiling for convolutions and Z_n grids (desk-scale memory cap)
-ATOM_CAP = 30_000_000
+#: bytes that a convolution, a whole Z_n and the streamed scan's tuple
+#: table may take (desk-scale memory cap)
+MEMORY_BUDGET = 1 << 30
+
+#: working bytes of one slab of the streamed scan, sized to stay in cache
+SLAB_BYTES = 1 << 22
 
 #: probability mass a binomial row may leave out of its Hoeffding window
 TAIL_EPS = 2.0 ** -64
 
 _MASS_TOL = 2.0 ** -45
 _MERGE_TOL = 1e-12
+
+
+def _atom_bytes(width: int) -> int:
+    """Bytes a DiscreteDist keeps per atom with ``width`` integer
+    coordinates: position, weight, cumulative weight and coordinates."""
+    return 24 + 8 * width
+
+
+def _over_budget(what: str, need: int) -> None:
+    if need > MEMORY_BUDGET:
+        raise SupportOverflow(f"{what} need {need} B, over the "
+                              f"{MEMORY_BUDGET} B memory budget")
 
 
 @dataclass(frozen=True)
@@ -85,11 +104,13 @@ class DiscreteDist:
                 lattice = LatticeTag(lattice.alphas, lattice.coords[keep],
                                      lattice.scale)
         order = np.argsort(positions, kind="stable")
-        positions, weights = positions[order], weights[order]
+        coords = None if lattice is None \
+            else np.take(lattice.coords, order, axis=0)
+        positions, weights, coords = _merge_atoms(
+            positions[order], weights[order], coords,
+            max(1.0, float(np.max(np.abs(positions), initial=0.0))))
         if lattice is not None:
-            lattice = LatticeTag(lattice.alphas, lattice.coords[order],
-                                 lattice.scale)
-        positions, weights, lattice = _merge_atoms(positions, weights, lattice)
+            lattice = LatticeTag(lattice.alphas, coords, lattice.scale)
         total = float(np.sum(weights, dtype=np.float128))
         if abs(total - 1.0) > _MASS_TOL:
             raise ValueError(f"weights sum to {total}, not 1")
@@ -104,6 +125,10 @@ class DiscreteDist:
     def __len__(self) -> int:
         return self.positions.size
 
+    def slabs(self):
+        """The distribution as the one slab ``kolmogorov_distance`` scans."""
+        yield self.positions, self.weights
+
     # -- CDF queries --------------------------------------------------------
 
     def cdf(self, x: float) -> float:
@@ -117,37 +142,33 @@ class DiscreteDist:
         return float(self._cum[i - 1]) if i > 0 else 0.0
 
 
-def _merge_atoms(positions, weights, lattice):
+def _merge_atoms(positions, weights, coords, spread):
     """Merge coincident atoms after sorting.
 
-    Lattice-tagged atoms merge only when their coordinate tuples match;
-    float positions merge when they agree within _MERGE_TOL relative.  A
+    Lattice atoms (``coords`` not None, one row of integer coordinates per
+    atom) merge only when their coordinate tuples match; untagged atoms
+    merge when they agree within _MERGE_TOL * ``spread``, where ``spread``
+    is max(1, the largest |position| of the whole distribution).  A
     near-collision of distinct lattice tuples cannot be ordered reliably in
     doubles and raises PrecisionExhausted, unless the unit coordinate is
     the only one: its positions are a monotone function of it.
     """
     if positions.size <= 1:
-        return positions, weights, lattice
-    scale = max(1.0, float(np.max(np.abs(positions))))
-    close = np.diff(positions) <= _MERGE_TOL * scale
+        return positions, weights, coords
+    close = np.diff(positions) <= _MERGE_TOL * spread
     if not np.any(close):
-        return positions, weights, lattice
-    if lattice is not None:
-        coords = lattice.coords
+        return positions, weights, coords
+    if coords is not None:
         same = np.all(coords[1:] == coords[:-1], axis=1)
-        if lattice.m and np.any(close & ~same):
+        if coords.shape[1] > 1 and np.any(close & ~same):
             raise PrecisionExhausted(
                 "distinct lattice atoms collide at double precision")
         group_break = ~(close & same)
     else:
         group_break = ~close
     idx = np.concatenate(([0], np.nonzero(group_break)[0] + 1))
-    merged_w = np.add.reduceat(weights, idx)
-    merged_x = positions[idx]
-    new_lattice = None
-    if lattice is not None:
-        new_lattice = LatticeTag(lattice.alphas, lattice.coords[idx], lattice.scale)
-    return merged_x, merged_w, new_lattice
+    return (positions[idx], np.add.reduceat(weights, idx),
+            None if coords is None else np.take(coords, idx, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +196,7 @@ def bernoulli_base(spec: CharSpec) -> DiscreteDist:
     tag over (1, alphas); ``prod:`` with no steps is the unit Bernoulli on
     {-1, +1}."""
     # one step is Z_1 before normalization
-    base = _lattice_zn(spec, 1, 1.0)
+    base = LatticeZn(spec, 1, 1.0).whole()
     base.spec = spec
     return base
 
@@ -222,13 +243,15 @@ def convolve(d1: DiscreteDist, d2: DiscreteDist) -> DiscreteDist:
     result omits at most their sum.
     """
     k = len(d1) * len(d2)
-    if k > ATOM_CAP:
-        raise SupportOverflow(f"convolution support {k} exceeds cap {ATOM_CAP}")
+    tagged = (d1.lattice is not None and d2.lattice is not None
+              and d1.lattice.compatible(d2.lattice))
+    width = d1.lattice.coords.shape[1] if tagged else 0
+    _over_budget(f"convolution support of {k} atoms would",
+                 k * _atom_bytes(width))
     positions = np.add.outer(d1.positions, d2.positions).ravel()
     weights = np.multiply.outer(d1.weights, d2.weights).ravel()
     lattice = None
-    if (d1.lattice is not None and d2.lattice is not None
-            and d1.lattice.compatible(d2.lattice)):
+    if tagged:
         c1, c2 = d1.lattice.coords, d2.lattice.coords
         coords = (c1[:, None, :] + c2[None, :, :]).reshape(k, c1.shape[1])
         lattice = LatticeTag(d1.lattice.alphas, coords, d1.lattice.scale)
@@ -263,20 +286,34 @@ def _binom_row(n: int) -> tuple[np.ndarray, np.ndarray]:
     return row[lo:row.size - lo], support
 
 
+def _zn_scale(base: DiscreteDist, n: int) -> float:
+    """1 / (sigma sqrt(n)), the factor from the raw sum to Z_n."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    mom = moments(base, n)
+    if mom.sigma2 <= 0:
+        raise ValueError("base distribution is degenerate")
+    return 1.0 / (math.sqrt(mom.sigma2) * math.sqrt(n))
+
+
+def zn_slabs(base: DiscreteDist, n: int):
+    """Z_n as slabs for ``kolmogorov_distance``: a LatticeZn, which never
+    holds Z_n whole, for bases built by bernoulli_base, and the one-slab
+    DiscreteDist of ``zn_dist`` for every other base."""
+    if base.spec is None:
+        return zn_dist(base, n)
+    return LatticeZn(base.spec, n, _zn_scale(base, n))
+
+
 def zn_dist(base: DiscreteDist, n: int) -> DiscreteDist:
     """Distribution of Z_n = (X_1 + ... + X_n) / (sigma sqrt(n)).
 
     Bases built by bernoulli_base go through the lattice builder;
     everything else goes through iterated convolution by binary powering.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    mom = moments(base, n)
-    if mom.sigma2 <= 0:
-        raise ValueError("base distribution is degenerate")
-    scale = 1.0 / (math.sqrt(mom.sigma2) * math.sqrt(n))
+    scale = _zn_scale(base, n)
     if base.spec is not None:
-        return _lattice_zn(base.spec, n, scale)
+        return LatticeZn(base.spec, n, scale).whole()
 
     # binary powering on the raw sum, rescale once at the end
     result: Optional[DiscreteDist] = None
@@ -294,40 +331,163 @@ def zn_dist(base: DiscreteDist, n: int) -> DiscreteDist:
     return z
 
 
-def _lattice_zn(spec: CharSpec, n: int, scale: float) -> DiscreteDist:
-    """Z_n of Bernoulli steps, with positions multiplied by ``scale``.
+class LatticeZn:
+    """Z_n of Bernoulli steps, with positions multiplied by ``scale``, as
+    sorted slabs of atoms in increasing position order (``slabs``).
 
     The weights live on the integer coordinates (c_0, ..., c_m) of the raw
     sum against (1, alpha_1, ..., alpha_m).  A product's grid is the outer
     product of m + 1 binomial n-rows.  A mixture's is the sum, over the
     component counts (k_0, ..., k_m) adding up to n, of their multinomial
-    probability times the outer product of the k_j-rows.
+    probability times the outer product of the k_j-rows.  Rational alphas
+    fold into the unit coordinate over their common denominator q: the
+    lattice coordinates are the raw ones times the integer matrix ``fold``,
+    the other coordinates are multiplied by q and the scale is divided by
+    it.  Atoms with equal lattice coordinates merge exactly.  Every atom's
+    position is (coords @ (1, alphas)) * scale, the same operations on
+    every path.
 
     Each binomial row is cut to its Hoeffding window (``_binom_row``) and
     leaves out at most TAIL_EPS of its mass.  A product grid is the outer
     product of m + 1 rows, so by the union bound it leaves out at most
     (m + 1) * TAIL_EPS; a mixture averages such products, so the same
-    bound holds for it.  That bound is recorded as ``tail_mass``; it is
-    0.0 when the n-row, and so every shorter row, is whole.
+    bound holds for it.  That bound is ``tail_mass``; it is 0.0 when the
+    n-row, and so every shorter row, is whole.
     """
-    m = len(spec.alphas)
-    row, support = _binom_row(n)
-    tail_mass = (m + 1) * TAIL_EPS if support[0] > -n else 0.0
-    if spec.weights is not None:
+
+    def __init__(self, spec: CharSpec, n: int, scale: float):
+        self.spec, self.n = spec, n
+        self.row, self.support = _binom_row(n)
+        m = len(spec.alphas)
+        self.tail_mass = (m + 1) * TAIL_EPS if self.support[0] > -n else 0.0
+        fracs = [a.exact_fraction() if a.is_rational else None
+                 for a in spec.alphas]
+        q = math.lcm(*(f.denominator for f in fracs if f is not None))
+        unit = [q] + [0 if f is None else int(q * f) for f in fracs]
+        if n * sum(map(abs, unit)) >= 1 << 62:
+            raise SupportOverflow(
+                f"rational steps over denominator {q} overflow the lattice")
+        own = [j for j, f in enumerate(fracs, start=1) if f is None]
+        self.fold = np.zeros((m + 1, len(own) + 1), dtype=np.int64)
+        self.fold[:, 0] = unit
+        for k, j in enumerate(own, start=1):
+            self.fold[j, k] = q
+        self.alphas = tuple(spec.alphas[j - 1] for j in own)
+        self.folded = len(own) < m
+        self.vals = np.array([1.0] + [a.to_float() for a in self.alphas])
+        self.scale = scale / q
+
+    def whole(self) -> DiscreteDist:
+        """Z_n as one DiscreteDist: the slabs concatenated."""
+        if self.spec.weights is None:  # a mixture's slab checks its grid
+            self._budget("atoms", self.row.size ** (len(self.spec.alphas) + 1),
+                         _atom_bytes(self.fold.shape[1]))
+        x, w, coords = zip(*self.slabs())
+        dist = DiscreteDist(np.concatenate(x), np.concatenate(w),
+                            lattice=LatticeTag(self.alphas,
+                                               np.concatenate(coords),
+                                               self.scale))
+        dist.tail_mass = self.tail_mass
+        return dist
+
+    def slabs(self):
+        """Yield Z_n as (positions, weights, lattice coordinates) slabs,
+        each sorted and merged, in increasing position order.
+
+        A mixture comes as one slab.  A product streams its last raw
+        coordinate c_m: a table holds, for every tuple (c_0, ..., c_m-1) in
+        C order, its weight and its lattice coordinates at c_m = 0.  The
+        position axis is cut at ``_slab_edges`` into slabs of at most
+        about ``SLAB_BYTES`` of working memory, and at least 4 atoms per
+        tuple.  Position is monotone in c_m, so the atoms of a tuple that
+        fall in a slab are one run of the row, found from the tuple's
+        approximate position and widened by a margin; each atom then goes
+        to the slab that holds its computed position.  Gathered tuple by
+        tuple, a slab's atoms are in the grid's C order, and each weight
+        is the grid's left-to-right product, so sorting and merging slab by
+        slab gives the atoms, bits and order, of sorting the whole grid.
+        The near-collision test uses max |position| over the grid, taken
+        at its corners, and also compares the atoms on either side of
+        each slab edge.
+        """
+        if self.spec.weights is not None:
+            yield self._mixture_slab()
+            return
+        row, support, width = self.row, self.support, self.fold.shape[1]
+        m, size, e = len(self.spec.alphas), row.size, int(support[-1])
+        tuples = size ** m
+        self._budget("tuples", tuples, 8 * width + 64)
+        weight = np.ones(1)
+        if m:
+            weight = row
+            for _ in range(m - 1):
+                weight = np.multiply.outer(weight, row)
+        weight = weight.ravel()
+        at = np.arange(tuples)
+        base = np.zeros((tuples, width), dtype=np.int64)
+        for k in range(m):
+            c_k = support[at // size ** (m - 1 - k) % size]
+            base += c_k[:, None] * self.fold[k]
+        step = self.fold[m]
+        start = (base @ self.vals) * self.scale
+        slope = float(step @ self.vals) * self.scale
+        corners = np.array(list(itertools.product((-e, e), repeat=m + 1)))
+        spread = max(1.0, float(np.max(np.abs(
+            ((corners @ self.fold) @ self.vals) * self.scale))))
+        cap = max(SLAB_BYTES // _slab_atom_bytes(width), 4 * tuples)
+        edges = _slab_edges(start, slope, e, cap)
+        cuts = np.concatenate(([-np.inf], edges, [np.inf]))
+        margin = spread * 2.0 ** -40
+        last, placed = -np.inf, 0
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            if edges.size:
+                ends = (np.array([[lo - margin], [hi + margin]]) - start) \
+                    / slope
+                first = np.clip(np.ceil((ends.min(axis=0) + e) / 2), 0,
+                                size).astype(np.int64)
+                stop = np.clip(np.floor((ends.max(axis=0) + e) / 2) + 1,
+                               first, size).astype(np.int64)
+                runs = stop - first
+                tj = np.repeat(at, runs)
+                cj = np.arange(tj.size) \
+                    - np.repeat(np.cumsum(runs) - runs - first, runs)
+                w = np.take(weight, tj) * np.take(row, cj)
+                # np.take: fancy indexing of 2-d rows is several times slower
+                coords, c_m = np.take(base, tj, axis=0), np.take(support, cj)
+            else:  # one slab: the whole grid
+                w = np.multiply.outer(weight, row).ravel()
+                coords = np.repeat(base, size, axis=0)
+                c_m = np.tile(support, tuples)
+            for k in np.flatnonzero(step):
+                coords[:, k] += c_m * step[k]
+            x = (coords @ self.vals) * self.scale
+            inside = (x >= lo) & (x < hi)
+            placed += np.count_nonzero(inside)
+            keep = np.flatnonzero(inside & (w > 0.0))
+            if keep.size < x.size:
+                x, w, coords = x[keep], w[keep], np.take(coords, keep, axis=0)
+            x, w, coords = self._sort_merge(x, w, coords, spread)
+            if x.size == 0:
+                continue
+            if width > 1 and x[0] - last <= _MERGE_TOL * spread:
+                raise PrecisionExhausted(
+                    "distinct lattice atoms collide at double precision")
+            last = x[-1]
+            yield x, w, coords
+        if placed != tuples * size:
+            raise RuntimeError(f"slabs placed {placed} of {tuples * size} "
+                               "atoms")
+
+    def _mixture_slab(self):
+        n, m = self.n, len(self.spec.alphas)
         support = np.arange(-n, n + 1, dtype=np.int64)
-    if support.size ** (m + 1) > ATOM_CAP:
-        raise SupportOverflow(
-            f"Z_n grid for n = {n}, m = {m}: row window {support.size}, "
-            f"{support.size ** (m + 1)} atoms exceed cap {ATOM_CAP}")
-    if spec.weights is None:
-        grid = row
-        for _ in range(m):
-            grid = np.multiply.outer(grid, row)
-    else:
+        self._budget("atoms", support.size ** (m + 1),
+                     _atom_bytes(self.fold.shape[1]))
         # mixture weights over a common denominator: normalized exactly,
         # although the floats p_j need not add up to exactly 1
-        common = math.lcm(*(Fraction(p).denominator for p in spec.weights))
-        ints = [int(Fraction(p) * common) for p in spec.weights]
+        common = math.lcm(*(Fraction(p).denominator
+                            for p in self.spec.weights))
+        ints = [int(Fraction(p) * common) for p in self.spec.weights]
         total = sum(ints) ** n
         grid = np.zeros((support.size,) * (m + 1))
         rows = [_binom_row(k) for k in range(n + 1)]
@@ -339,12 +499,63 @@ def _lattice_zn(spec: CharSpec, n: int, scale: float) -> DiscreteDist:
                 block = np.multiply.outer(block, row)
                 cells.append(slice(at[0] + n, at[-1] + n + 1, 2))
             grid[tuple(cells)] += block
-    # cells of weight 0.0 (unreachable or underflowed) are dropped by
-    # DiscreteDist
-    dist = _lattice_dist(spec.alphas, np.ix_(*([support] * (m + 1))), grid,
-                         scale, n)
-    dist.tail_mass = tail_mass
-    return dist
+        raw = np.stack(np.meshgrid(*([support] * (m + 1)), indexing="ij"),
+                       axis=-1).reshape(-1, m + 1)
+        coords = raw @ self.fold
+        x = (coords @ self.vals) * self.scale
+        # cells of weight 0.0 (unreachable or underflowed) are dropped
+        keep = grid.ravel() > 0.0
+        x, w, coords = x[keep], grid.ravel()[keep], coords[keep]
+        return self._sort_merge(x, w, coords,
+                                max(1.0, float(np.max(np.abs(x)))))
+
+    def _sort_merge(self, x, w, coords, spread):
+        """Sort atoms by position and merge those with equal coordinates.
+        Equal coordinates come only from folded rational steps, and then
+        the sort is stable, so merged weights add up in grid order; with
+        distinct coordinates a tie in position is a collision, which
+        raises, so any sort gives the same atoms."""
+        order = np.argsort(x, kind="stable" if self.folded else "quicksort")
+        return _merge_atoms(x[order], w[order], np.take(coords, order, axis=0),
+                            spread)
+
+    def _budget(self, what: str, count: int, each: int) -> None:
+        _over_budget(f"Z_n for n = {self.n}, m = {len(self.spec.alphas)}: "
+                     f"row window {self.row.size}, {count} {what} would",
+                     count * each)
+
+
+def _slab_atom_bytes(width: int) -> int:
+    """Working bytes per atom of one slab, ``width`` lattice coordinates:
+    gather indices, coordinates, positions, weights, the sort, the float128
+    running sum and G."""
+    return 96 + 24 * width
+
+
+def _slab_edges(start: np.ndarray, slope: float, e: int, cap: int):
+    """Positions that cut the atoms start_j + slope * c, c = -e, -e + 2,
+    ..., e, into slabs of about equal count, at most about ``cap`` each.
+
+    Within one atom per tuple, the number of atoms below x is
+    sum_j clip((x - start_j + h) / (2 |slope|), 0, e + 1) with
+    h = |slope| (e + 1): each row is e + 1 atoms spaced 2 |slope| apart.
+    The sum is read off the sorted start_j and their prefix sums on a grid
+    of x and inverted by interpolation.
+    """
+    size = e + 1
+    total = start.size * size
+    slabs = -(-total // cap)
+    if slabs <= 1 or slope == 0.0:
+        return np.empty(0)
+    start = np.sort(start)
+    sums = np.concatenate(([0.0], np.cumsum(start)))
+    h = abs(slope) * size
+    x = np.linspace(start[0] - h, start[-1] + h, 32 * slabs + 1)
+    lo = np.searchsorted(start, x - h)
+    hi = np.searchsorted(start, x + h)
+    below = size * lo + ((x + h) * (hi - lo) - (sums[hi] - sums[lo])) \
+        / (2.0 * abs(slope))
+    return np.interp(total * np.arange(1, slabs) / slabs, below, x)
 
 
 def _compositions(n: int, parts: int):
@@ -377,35 +588,6 @@ def _multinomials(n: int, ints):
         value = value * up // down
         prev = counts
         yield counts, value
-
-
-def _lattice_dist(alphas, cols, weights, scale, n) -> DiscreteDist:
-    """The distribution with atoms at (c_0 + sum_j c_j alpha_j) * scale.
-
-    ``weights`` is a grid and ``cols`` holds the integer coordinates
-    c_0, ..., c_m broadcast against it, of a sum of n steps (|c_j| <= n).
-    Rational alphas fold into the unit coordinate over their common
-    denominator q; the other coordinates are multiplied by q and the scale
-    is divided by it.  Atoms with equal coordinate tuples merge exactly in
-    ``DiscreteDist``.
-    """
-    fracs = [a.exact_fraction() if a.is_rational else None for a in alphas]
-    if any(f is not None for f in fracs):
-        q = math.lcm(*(f.denominator for f in fracs if f is not None))
-        fold = [q] + [0 if f is None else int(q * f) for f in fracs]
-        if n * sum(map(abs, fold)) >= 1 << 62:
-            raise SupportOverflow(
-                f"rational steps over denominator {q} overflow the lattice")
-        unit = sum(h * c for h, c in zip(fold, cols) if h)
-        cols = [unit] + [q * c for c, f in zip(cols[1:], fracs) if f is None]
-        alphas = tuple(a for a in alphas if not a.is_rational)
-        scale = scale / q
-    coords = np.stack(np.broadcast_arrays(weights, *cols)[1:], axis=-1)
-    coords, weights = coords.reshape(-1, len(cols)), weights.ravel()
-    vals = np.array([1.0] + [a.to_float() for a in alphas])
-    positions = (coords @ vals) * scale
-    return DiscreteDist(positions, weights,
-                        lattice=LatticeTag(alphas, coords, scale))
 
 
 def zn_dist_exact(alphas: Sequence[AlphaSpec], n: int) -> dict[tuple[int, ...], Fraction]:
@@ -470,14 +652,21 @@ class KolmogorovResult(NamedTuple):
     error_bound: float = 0.0  # |delta - exact Delta_n| <= this
 
 
-def kolmogorov_distance(d: DiscreteDist, G) -> KolmogorovResult:
-    """sup_x |F(x) - G(x)| for the step CDF F of d and a continuous G.
+def kolmogorov_distance(z, G) -> KolmogorovResult:
+    """sup_x |F(x) - G(x)| for the step CDF F of z and a continuous G.
 
-    The sup is attained either one-sided at an atom or at a stationary
-    point of G inside a gap of the support (G's monotone tails cannot beat
-    the boundary atoms, which are included two-sided).
+    ``z`` is a DiscreteDist, which is one slab, or a LatticeZn (see
+    ``zn_slabs``): its ``slabs()`` yield sorted, merged (positions,
+    weights, ...) in increasing position order.  The sup is attained
+    either one-sided at an atom or at a stationary point of G inside a gap
+    of the support (G's monotone tails cannot beat the boundary atoms,
+    which are included two-sided).  From slab to slab the scan carries the
+    float128 running sum of the weights, so F at every atom is the float64
+    of one cumulative sum however Z_n is cut; the first atom that attains
+    each one-sided maximum; and F at G's stationary points.  At the end
+    the weights must add up to 1 within 2^-45.
 
-    ``error_bound`` is tau = ``d.tail_mass``, a bound on the mass the
+    ``error_bound`` is tau = ``z.tail_mass``, a bound on the mass the
     lattice builder left out.  Let F* be the CDF of the untruncated Z_n.
     F*(x) - F(x) is the omitted mass at or below x, so
     0 <= F*(x) - F(x) <= tau for every x, and likewise for the left limits
@@ -485,18 +674,40 @@ def kolmogorov_distance(d: DiscreteDist, G) -> KolmogorovResult:
     most tau at every x, and so do their sups: the reported delta is
     within tau of the exact Delta_n = sup_x |F*(x) - G(x)|.
     """
-    x = d.positions
-    cum = d._cum
-    gx = np.asarray(G(x), dtype=np.float64)
-    right = np.abs(cum - gx)                       # F(x_k) vs G(x_k)
-    left = np.abs(np.concatenate(([0.0], cum[:-1])) - gx)  # F(x_k-) vs G(x_k)
-    i_r = int(np.argmax(right))
-    i_l = int(np.argmax(left))
-    best = KolmogorovResult(float(right[i_r]), float(x[i_r]), "right")
-    if left[i_l] > best.delta:
-        best = KolmogorovResult(float(left[i_l]), float(x[i_l]), "left")
-    for s in G.stationary_points():
-        v = abs(d.cdf(s) - float(G(s)))
+    stationary = list(G.stationary_points())
+    f_at = np.zeros(len(stationary))
+    right = left = (-np.inf, 0.0)
+    carry = mass = np.float128(0.0)
+    for x, w, *_ in z.slabs():
+        # pairwise: the running sum absorbs weights below half its ulp
+        mass += np.sum(w, dtype=np.float128)
+        run = np.empty(x.size + 1, dtype=np.float128)
+        run[0] = carry
+        run[1:] = w
+        np.cumsum(run, out=run)
+        carry = run[-1]
+        cum = run.astype(np.float64)  # cum[0] is F just left of x[0]
+        gx = np.asarray(G(x), dtype=np.float64)
+        right = _first_max(np.abs(cum[1:] - gx), x, right)  # F(x_k) vs G
+        left = _first_max(np.abs(cum[:-1] - gx), x, left)   # F(x_k-) vs G
+        if stationary:
+            i = np.searchsorted(x, stationary, side="right")
+            f_at = np.where(i > 0, cum[i], f_at)
+    total = float(mass)
+    if abs(total - 1.0) > _MASS_TOL:
+        raise ValueError(f"weights sum to {total}, not 1")
+    best = KolmogorovResult(*right, "right")
+    if left[0] > best.delta:
+        best = KolmogorovResult(*left, "left")
+    for s, f in zip(stationary, f_at.tolist()):
+        v = abs(f - float(G(s)))
         if v > best.delta:
             best = KolmogorovResult(v, float(s), "right")
-    return best._replace(error_bound=d.tail_mass)
+    return best._replace(error_bound=z.tail_mass)
+
+
+def _first_max(dev: np.ndarray, x: np.ndarray, best: tuple) -> tuple:
+    """(value, position) of the first maximum of ``dev`` if it beats
+    ``best``, else ``best``."""
+    i = int(np.argmax(dev))
+    return (float(dev[i]), float(x[i])) if dev[i] > best[0] else best

@@ -11,7 +11,7 @@ class PrecisionExhausted(Exception):
 
 
 class SupportOverflow(Exception):
-    """A convolution would exceed the configured atom-count cap."""
+    """A lattice or convolution would exceed ``distkit.MEMORY_BUDGET`` bytes."""
 
 
 class QuadratureFailure(Exception):

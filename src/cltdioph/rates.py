@@ -15,7 +15,10 @@ import numpy as np
 
 from .dioph import AlphaSpec, orbit_residues
 from .distkit import DiscreteDist, kolmogorov_distance, moments, \
-    product_bernoulli, zn_dist
+    product_bernoulli, zn_slabs
+# not called here: bench/replay.py rebinds rates.zn_dist with the other
+# layer entry points
+from .distkit import zn_dist  # noqa: F401
 from .edgeworth import comparison_for
 from .errors import TooFewPoints
 
@@ -58,7 +61,7 @@ def delta_sweep(base: DiscreteDist, n_list) -> SweepResult:
     rows = []
     for n in n_list:
         n = int(n)
-        z = zn_dist(base, n)
+        z = zn_slabs(base, n)
         res = kolmogorov_distance(z, comparison_for("phi", base, n))
         d3 = None
         if skewed:
@@ -116,7 +119,7 @@ def avg_delta(n: int, grid_size: int) -> tuple[float, float]:
     for i in range(grid_size):
         base = product_bernoulli([AlphaSpec.rational(2 * i + 1, 2 * grid_size)])
         G = comparison_for("phi", base, n)
-        total += kolmogorov_distance(zn_dist(base, n), G).delta
+        total += kolmogorov_distance(zn_slabs(base, n), G).delta
     average = total / grid_size
     return average, average * n / math.log(n + 1.0)
 

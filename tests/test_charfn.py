@@ -100,6 +100,20 @@ class TestEval:
                 assert abs(C.eval(mix, t) - want) < 1e-9
 
 
+    def test_decimal_step_is_its_value_at_every_t(self):
+        # a dec: step with 35 certified bits is evaluated from its decimal
+        # value on both sides of _F128_LIMIT, against mpmath and against
+        # the rat: spec of the same value
+        dec = C.CharSpec.parse("prod:dec:1.41421356237")
+        rat = C.CharSpec.parse("prod:rat:141421356237/100000000000")
+        with mpmath.workdps(60):
+            a = mpmath.mpf(141421356237) / 10 ** 11
+            for t in (1.0e5, 1.0e7, 3.0e9):
+                want = float(mpmath.cos(t) * mpmath.cos(a * t))
+                assert C.eval(dec, t) == C.eval(rat, t)
+                assert abs(C.eval(dec, t) - want) < 1e-9
+
+
 class TestProfile:
     def test_zero(self):
         spec = C.CharSpec.product([SQRT2])
@@ -270,7 +284,8 @@ class TestGrowthFit:
 def _full_scan(monkeypatch, spec, t_max):
     # the reference runs _refine_peak at every candidate: no bound skips
     with monkeypatch.context() as m:
-        m.setattr(C, "_record_floor", lambda spec, n_hi: np.zeros(n_hi))
+        m.setattr(C, "_record_floor",
+                  lambda spec, n_hi, n_lo=1: np.zeros(n_hi - n_lo + 1))
         return _fit_or_error(spec, t_max)
 
 
@@ -333,6 +348,16 @@ class TestRecordSkip:
         C.growth_fit(C.CharSpec.product([SQRT2]), 3e4, 8)
         assert int(3e4 / math.pi) == 9549
         assert 0 < len(calls) < 95
+
+    def test_floor_in_blocks(self, monkeypatch):
+        spec = C.CharSpec.parse("prod:surd:0,1,1,2,surd:0,1,1,3")
+        whole = C._record_floor(spec, 9549)
+        parts = [C._record_floor(spec, min(lo + 999, 9549), lo)
+                 for lo in range(1, 9550, 1000)]
+        assert np.array_equal(np.concatenate(parts), whole)
+        fit = C.growth_fit(spec, 3e4, 8)
+        monkeypatch.setattr(C, "_FLOOR_BLOCK", 1000)
+        assert C.growth_fit(spec, 3e4, 8) == fit
 
     def test_no_mantissa_never_skips(self):
         spec = C.CharSpec.parse("prod:dec:1.41421356237")

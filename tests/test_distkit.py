@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +7,11 @@ import pytest
 from scipy.special import ndtr
 
 from cltdioph import distkit as K
+from cltdioph.charfn import CharSpec
 from cltdioph.dioph import AlphaSpec
-from cltdioph.errors import SupportOverflow
+from cltdioph.edgeworth import EdgeworthComparison, EdgeworthParams, \
+    comparison_for
+from cltdioph.errors import PrecisionExhausted, SupportOverflow
 
 SQRT2 = AlphaSpec.surd(0, 1, 1, 2)
 
@@ -109,7 +113,8 @@ class TestConvolve:
 
     def test_overflow_guard(self, monkeypatch):
         d = K.zn_dist(K.product_bernoulli([SQRT2]), 8)
-        monkeypatch.setattr(K, "ATOM_CAP", 100)
+        # room for 100 atoms with two lattice coordinates
+        monkeypatch.setattr(K, "MEMORY_BUDGET", 100 * K._atom_bytes(2))
         with pytest.raises(SupportOverflow):
             K.convolve(d, d)
 
@@ -191,7 +196,7 @@ class TestZnDist:
         assert abs(K.moments(z).alpha3) < 1e-12
 
     def test_overflow(self, monkeypatch):
-        monkeypatch.setattr(K, "ATOM_CAP", 1000)
+        monkeypatch.setattr(K, "MEMORY_BUDGET", 1000 * K._atom_bytes(2))
         with pytest.raises(SupportOverflow, match=r"n = 100\b"):
             K.zn_dist(K.product_bernoulli([SQRT2]), 100)
 
@@ -400,3 +405,138 @@ class TestKolmogorovDistance:
 def test_exact_rational_mode_mass():
     exact = K.zn_dist_exact([SQRT2], 12)
     assert sum(exact.values()) == Fraction(1)
+
+
+def whole_grid(spec, n):
+    """Z_n as a whole-grid engine builds it: the outer product of the
+    binomial rows in C order, rational steps folded into the unit
+    coordinate over their common denominator q, positions
+    (coords @ (1, alphas)) * scale, one stable sort and merge."""
+    row, support = K._binom_row(n)
+    grid = row
+    for _ in spec.alphas:
+        grid = np.multiply.outer(grid, row)
+    raw = np.meshgrid(*[support] * grid.ndim, indexing="ij")
+    fracs = [a.exact_fraction() if a.is_rational else None
+             for a in spec.alphas]
+    q = math.lcm(*(f.denominator for f in fracs if f is not None))
+    cols = [q * raw[0]]
+    for c, f in zip(raw[1:], fracs):
+        if f is None:
+            cols.append(q * c)
+        else:
+            cols[0] = cols[0] + int(q * f) * c
+    alphas = tuple(a for a, f in zip(spec.alphas, fracs) if f is None)
+    coords = np.stack(cols, axis=-1).reshape(-1, len(cols))
+    base = K.bernoulli_base(spec)
+    scale = 1.0 / (math.sqrt(K.moments(base).sigma2) * math.sqrt(n)) / q
+    x = (coords @ np.array([1.0] + [a.to_float() for a in alphas])) * scale
+    z = K.DiscreteDist(x, grid.ravel(),
+                       lattice=K.LatticeTag(alphas, coords, scale))
+    if support[0] > -n:  # each cut row leaves out at most TAIL_EPS
+        z.tail_mass = grid.ndim * K.TAIL_EPS
+    return z
+
+
+class TestStreamedScan:
+    """Delta_n from the slabs of Z_n equals Delta_n of the whole Z_n."""
+
+    SMALL = 1 << 12  # a slab budget that cuts every case below into many
+
+    @pytest.mark.parametrize("text, n", [
+        ("prod:surd:0,1,1,2", 300),
+        ("prod:surd:0,1,1,2,surd:0,1,1,3", 40),
+        ("prod:rat:3/7,surd:0,1,1,2", 200),   # folds, and atoms merge
+        ("prod:cf:0;2,30,periodic:1", 500),
+    ])
+    @pytest.mark.parametrize("skewed", [False, True])
+    def test_many_slabs_bit_identical(self, monkeypatch, text, n, skewed):
+        base = K.bernoulli_base(CharSpec.parse(text))
+        if skewed:
+            # a = alpha3 / (6 sqrt n) = 2/3: three stationary points in
+            # the bulk of Z_n, where the slabs are narrow
+            G = EdgeworthComparison(EdgeworthParams(4.0 * math.sqrt(n), 1.0,
+                                                    n))
+        else:
+            G = comparison_for("phi", base, n)
+        whole = whole_grid(base.spec, n)
+        want = K.kolmogorov_distance(whole, G)
+        monkeypatch.setattr(K, "SLAB_BYTES", self.SMALL)
+        slabs = [x for x, _, _ in K.zn_slabs(base, n).slabs()]
+        assert len(slabs) >= 10
+        for s in G.stationary_points():
+            assert sum(x[-1] < s for x in slabs) >= 2
+            assert sum(x[0] > s for x in slabs) >= 2
+        assert K.kolmogorov_distance(K.zn_slabs(base, n), G) == want
+        glued = K.zn_dist(base, n)
+        assert np.array_equal(glued.positions, whole.positions)
+        assert np.array_equal(glued.weights, whole.weights)
+        assert np.array_equal(glued.lattice.coords, whole.lattice.coords)
+
+    def test_mixture_is_one_slab(self, monkeypatch):
+        monkeypatch.setattr(K, "SLAB_BYTES", self.SMALL)
+        base = K.mixture_bernoulli([0.5, 0.5], [SQRT2])
+        z = K.zn_slabs(base, 64)
+        assert sum(1 for _ in z.slabs()) == 1
+        assert K.kolmogorov_distance(z, PhiFn()) \
+            == K.kolmogorov_distance(K.zn_dist(base, 64), PhiFn())
+
+    def test_collision_straddling_a_slab_edge(self, monkeypatch):
+        # sqrt 8 = 2 sqrt 2: distinct coordinate tuples at one point, whose
+        # computed positions can differ by an ulp; put a slab edge between
+        # such a pair
+        base = K.bernoulli_base(
+            CharSpec.parse("prod:surd:0,1,1,2,surd:0,1,1,8"))
+        z = K.zn_slabs(base, 64)
+        raw = np.stack(np.meshgrid(*[z.support] * 3, indexing="ij"), axis=-1)
+        x = np.sort(((raw.reshape(-1, 3) @ z.fold) @ z.vals) * z.scale)
+        gap = np.diff(x)
+        i = np.flatnonzero((gap > 0) & (gap <= 1e-12 * np.max(np.abs(x))))[0]
+        monkeypatch.setattr(K, "_slab_edges",
+                            lambda *args: np.array([x[i + 1]]))
+        with pytest.raises(PrecisionExhausted):
+            K.kolmogorov_distance(z, PhiFn())
+
+    def test_collision_test_crosses_every_edge(self, monkeypatch):
+        # neighbouring atoms 1/q apart in the unit coordinate collide at
+        # double precision; with one atom per slab only the comparison
+        # across slab edges can see it
+        base = K.bernoulli_base(
+            CharSpec.parse("prod:rat:1/100000000003,surd:0,1,1,2"))
+        with pytest.raises(PrecisionExhausted):
+            K.zn_dist(base, 16)
+
+        def every_gap(start, slope, e, cap):
+            x = np.unique(np.add.outer(start, slope * np.arange(-e, e + 1, 2)))
+            return (x[1:] + x[:-1]) / 2
+
+        monkeypatch.setattr(K, "_slab_edges", every_gap)
+        z = K.zn_slabs(base, 16)
+        with pytest.raises(PrecisionExhausted):
+            for x, _, _ in z.slabs():
+                assert x.size == 1
+
+    def test_scan_memory_is_set_by_the_slab_budget(self):
+        # numpy's buffers are traced by tracemalloc; at n = 16384 the scan
+        # holds one slab (SLAB_BYTES of working memory) and a tuple table
+        # of about 1200 rows, Z_n whole is 1.5M atoms
+        base = K.product_bernoulli([SQRT2])
+        n = 16384
+        bound = 2 * K.SLAB_BYTES
+        tracemalloc.start()
+        try:
+            K.kolmogorov_distance(K.zn_slabs(base, n), PhiFn())
+            scan_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            z = K.zn_dist(base, n)
+            whole_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(z) > 10 ** 6
+        assert scan_peak < bound < whole_peak
+
+    def test_tuple_table_over_budget(self):
+        base = K.product_bernoulli(
+            [AlphaSpec.surd(0, 1, 1, d) for d in (2, 3, 5, 7)])
+        with pytest.raises(SupportOverflow, match=r"tuples would need \d+ B"):
+            K.kolmogorov_distance(K.zn_slabs(base, 4096), PhiFn())
