@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .dioph import AlphaSpec, orbit_residues
-from .errors import InsufficientPeaks, PrecisionExhausted
+from .errors import InsufficientPeaks
 
 #: above this |t * alpha| the extended-precision path is no longer certified
 #: to 1e-12 and evaluation falls back to arbitrary precision
@@ -232,16 +232,15 @@ def _record_floor(spec: CharSpec, n_hi: int, n_lo: int = 1) -> np.ndarray:
     minimised over x, gives 1 - |f| >= -expm1(-(pi^2/2) d_k^2 / (1 +
     alpha_k^2)); for a mixture 1 - |cos(pi y)| >= 4 ||y||^2 gives 1 - |f|
     >= 4 p0 pk d_k^2 / (p0 + pk alpha_k^2) - |sum p - 1|.  L_n is the
-    largest over k.  An alpha without a 64-bit mantissa takes d_k = 0.
+    largest over k.  Each alpha_k is read from the spec ``eval`` uses
+    (``_exact``), so a dec: step has all 64 bits.
     """
     mixture = spec.weights is not None
     ns = np.arange(n_lo, n_hi + 1, dtype=np.uint64)
     top = np.zeros(ns.size)
     for k, alpha in enumerate(spec.alphas):
-        try:
-            m = alpha.mantissa(64)
-        except PrecisionExhausted:
-            continue
+        alpha = _exact(alpha)
+        m = alpha.mantissa(64)
         if abs(m) >> (64 + 500):
             continue  # |alpha| >= 2^500: alpha^2 may overflow, term < 2^-995
         a2 = math.ldexp(m, -64) ** 2

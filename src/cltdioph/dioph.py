@@ -439,44 +439,78 @@ def orbit_residues(alpha: AlphaSpec, n_max: int, n_min: int = 1) -> np.ndarray:
 #: from n = 2^23 on, 41 + n.bit_length() > 64: nearest_int_dist starts
 #: above 64 bits, so the 64-bit pass stops below it
 _N64 = 1 << 23
-#: the 64-bit pass runs on blocks of this many n
+#: orbit scans run on blocks of this many n
 _BLOCK = 1 << 16
+#: rational alpha = p/q with q below this is scanned in exact uint64
+#: arithmetic: n (p mod q) < 2^23 2^31 fits, and d / q is one rounding
+_Q_EXACT = 1 << 31
 
 
-def _dists_64(alpha: AlphaSpec, n_min: int, n_max: int) -> list[float]:
-    """||n alpha|| for n = n_min..n_max < 2^23 where the 64-bit residue
-    passes ``_certified``, NaN elsewhere (every n for rational alpha)."""
+def _dists_64(alpha: AlphaSpec, n_min: int, n_max: int) -> np.ndarray:
+    """||n alpha|| for n = n_min..n_max, NaN where one numpy pass cannot
+    give the value of ``nearest_int_dist`` and at every n >= 2^23.
+
+    Irrational alpha: d_n / 2^64 where the 64-bit residue d_n passes
+    ``_certified``.  Rational p/q with q < 2^31: min(r, q - r) / q, r = n p
+    mod q, the correctly rounded value of that Fraction, as
+    ``nearest_int_dist`` returns it.
+    """
+    ns = np.arange(n_min, n_max + 1, dtype=np.uint64)
     if alpha.is_rational:
-        return [math.nan] * (n_max - n_min + 1)
+        f = alpha.exact_fraction()
+        q = f.denominator
+        if q >= _Q_EXACT:
+            return np.full(ns.size, math.nan)
+        r = ns * np.uint64(f.numerator % q) % np.uint64(q)
+        d = np.minimum(r, np.uint64(q) - r) / float(q)
+        return np.where(ns < _N64, d, np.nan)
     try:
         r = orbit_residues(alpha, n_max, n_min)
     except PrecisionExhausted:
         # the scalar path reports the budget
-        return [math.nan] * (n_max - n_min + 1)
+        return np.full(ns.size, math.nan)
     d = np.minimum(r, -r)
-    ok = _certified(d, np.arange(n_min, n_max + 1, dtype=np.uint64), 64)
-    return np.where(ok, d / 2.0 ** 64, np.nan).tolist()
+    ok = _certified(d, ns, 64) & (ns < _N64)
+    return np.where(ok, d / 2.0 ** 64, np.nan)
+
+
+def _orbit_blocks(alpha: AlphaSpec, n_max: int) -> Iterator[np.ndarray]:
+    """||n alpha|| for n = 1..n_max in consecutive arrays of up to
+    ``_BLOCK`` values, each equal to ``nearest_int_dist(alpha, n)[0]``.
+
+    Each block is ``_dists_64`` with its NaN entries computed by
+    ``nearest_int_dist``, in increasing n.  When one of those raises, the
+    block up to the entry before it is yielded first, so a consumer meets
+    every value below the failing n before the error, as in a loop over n.
+    """
+    for lo in range(1, n_max + 1, _BLOCK):
+        d = _dists_64(alpha, lo, min(lo + _BLOCK - 1, n_max))
+        for j in np.flatnonzero(np.isnan(d)).tolist():
+            try:
+                d[j] = nearest_int_dist(alpha, lo + j)[0]
+            except PrecisionExhausted:
+                yield d[:j]
+                raise
+        yield d
 
 
 def orbit_dists(alpha: AlphaSpec, n_max: int) -> Iterator[float]:
     """Yield ||n alpha|| for n = 1..n_max, each equal to
     ``nearest_int_dist(alpha, n)[0]`` bit for bit.
 
-    For n < 2^23 the distances come in blocks from ``orbit_residues``:
-    d_n / 2^64, d_n = min(r_n, 2^64 - r_n), is kept where ``_certified``
-    passes, the test ``nearest_int_dist`` applies at 64 bits.  Every other
-    entry, every n from 2^23 on (where ``nearest_int_dist`` starts above 64
-    bits) and every n of a rational alpha is computed by
-    ``nearest_int_dist`` itself, when it is reached.  So one predicate
-    certifies every value, scans keep constant memory, and a caller that
-    does other work per n meets errors in the order of a loop over n.
+    The values come from the blocks of ``_orbit_blocks``.  For n < 2^23
+    those are read off ``orbit_residues``: d_n / 2^64, d_n = min(r_n, 2^64
+    - r_n), is kept where ``_certified`` passes, the test
+    ``nearest_int_dist`` applies at 64 bits; a rational alpha with a
+    denominator below 2^31 is read off exact integer residues.  Every other
+    entry, and every n from 2^23 on (where ``nearest_int_dist`` starts
+    above 64 bits) is computed by ``nearest_int_dist`` itself.  So one
+    predicate certifies every value, scans keep constant memory, and a
+    caller that does other work per n meets errors in the order of a loop
+    over n.
     """
-    for lo in range(1, min(n_max, _N64 - 1) + 1, _BLOCK):
-        hi = min(lo + _BLOCK - 1, n_max, _N64 - 1)
-        for n, dist in enumerate(_dists_64(alpha, lo, hi), start=lo):
-            yield nearest_int_dist(alpha, n)[0] if math.isnan(dist) else dist
-    for n in range(_N64, n_max + 1):
-        yield nearest_int_dist(alpha, n)[0]
+    for d in _orbit_blocks(alpha, n_max):
+        yield from d.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -504,24 +538,40 @@ def type_estimate(alpha: AlphaSpec, n_max: int) -> TypeEstimate:
     alpha is reported with the degenerate flag (an exact hit
     ||n alpha|| = 0 anywhere on the horizon) and the chain up to that hit.
 
-    The distances come from ``orbit_dists`` (one 64-bit residue per n, the
-    scalar ``nearest_int_dist`` for what that cannot certify); the ratios
-    are taken with ``math.log``, one per n.
+    The distances come from the blocks of ``_orbit_blocks``.  In each
+    block, the n that can set a record are found with ``np.log``: the
+    candidates are the n whose ratio is within a margin of 1e-9 relative,
+    far above the few-ulp error of ``np.log``, of the running maximum.
+    Each candidate is then taken in increasing n with ``math.log``, as
+    a loop over every n would take it, so the maximum and the witness
+    chain are that loop's.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     n_min = max(2, isqrt(n_max))
     eta_hat = float("-inf")
     chain: list[tuple[int, float, float]] = []
-    for n, dist in enumerate(orbit_dists(alpha, n_max), start=1):
-        if dist == 0.0:
+    lo = 1
+    for d in _orbit_blocks(alpha, n_max):
+        zeros = np.flatnonzero(d == 0.0)
+        end = int(zeros[0]) if zeros.size else d.size
+        start = min(max(n_min - lo, 0), end)
+        run = d[start:end]
+        if run.size:
+            with np.errstate(over="ignore", invalid="ignore"):
+                approx = np.log(1.0 / (2.0 * run)) / np.log(
+                    np.arange(lo + start, lo + end, dtype=float))
+                prev = np.maximum.accumulate(np.r_[eta_hat, approx[:-1]])
+                near = approx > prev - 1e-9 * (1.0 + np.abs(prev))
+            for j in np.flatnonzero(near).tolist():
+                n, dist = lo + start + j, float(run[j])
+                eta_n = math.log(1.0 / (2.0 * dist)) / math.log(n)
+                if eta_n > eta_hat:
+                    eta_hat = eta_n
+                    chain.append((n, dist, n ** eta_n * dist))
+        if zeros.size:
             return TypeEstimate(math.inf, chain, n_max, degenerate=True)
-        if n < n_min:
-            continue
-        eta_n = math.log(1.0 / (2.0 * dist)) / math.log(n)
-        if eta_n > eta_hat:
-            eta_hat = eta_n
-            chain.append((n, dist, n ** eta_n * dist))
+        lo += d.size
     return TypeEstimate(eta_hat, chain, n_max)
 
 

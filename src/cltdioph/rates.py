@@ -8,6 +8,7 @@ estimated quantities are the regression coefficients.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -106,20 +107,94 @@ def rate_fit(ns, deltas, eta_hint: Optional[float] = None,
                    constrained_exponent=c_exp, constrained_logpow=c_logpow)
 
 
+def _avg_share(n: int, grid_size: int, first: int, step: int):
+    """Delta_n(alpha_i) for i = first, first + step, ... below grid_size,
+    and the exception that stopped the scan (None if it ran through)."""
+    deltas: list[float] = []
+    try:
+        for i in range(first, grid_size, step):
+            base = product_bernoulli(
+                [AlphaSpec.rational(2 * i + 1, 2 * grid_size)])
+            G = comparison_for("phi", base, n)
+            deltas.append(kolmogorov_distance(zn_slabs(base, n), G).delta)
+    except Exception as exc:  # handed to avg_delta, which re-raises it
+        return deltas, exc
+    return deltas, None
+
+
+def _share_worker(conn, n: int, grid_size: int, first: int,
+                  step: int) -> None:
+    conn.send(_avg_share(n, grid_size, first, step))
+    conn.close()
+
+
+def _received(proc, conn):
+    """The share a forked worker sent through conn."""
+    try:
+        return conn.recv()
+    except EOFError:
+        proc.join()
+        raise RuntimeError(f"avg_delta worker exited with code "
+                           f"{proc.exitcode} before sending its share") \
+            from None
+
+
 def avg_delta(n: int, grid_size: int) -> tuple[float, float]:
     """Midpoint-grid average of Delta_n(alpha) over alpha in (0, 1).
 
     Each alpha is the rational midpoint (2i+1)/(2 grid_size); the base is
     the four-atom sum of a unit Bernoulli and an alpha-scaled one. The
     returned ratio is average * n / log(n+1).
+
+    The grid is split into k = min(CPUs in the affinity mask, grid_size)
+    interleaved shares, i mod k.  Shares 0..k-2 run in workers forked
+    from this process, so they start with its imports (a spawned worker
+    would import the package again, which takes longer than a 128-point
+    grid at n = 256) and nothing is pickled but their results; this
+    process scans share k-1 meanwhile.
+    The Delta_n are then put back in grid order and added left to right,
+    so the result is bit for bit that of one loop over the grid, whatever
+    k.  An exception re-raises here as that loop would meet it: the one
+    at the smallest i.  With one CPU, or without the fork start method,
+    k is 1 and this process scans the one share.
     """
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
+    # imported here, so that importing the package starts no pool machinery
+    import multiprocessing
+
+    k = 1
+    if hasattr(os, "sched_getaffinity") and \
+            "fork" in multiprocessing.get_all_start_methods():
+        k = min(len(os.sched_getaffinity(0)), grid_size)
+    ctx = multiprocessing.get_context("fork") if k > 1 else None
+    workers = []
+    try:
+        for first in range(k - 1):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_share_worker,
+                               args=(send, n, grid_size, first, k),
+                               daemon=True)
+            proc.start()
+            send.close()
+            workers.append((proc, recv))
+        own = _avg_share(n, grid_size, k - 1, k)
+        shares = [_received(proc, recv) for proc, recv in workers] + [own]
+    except BaseException:
+        for proc, _ in workers:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv in workers:
+            recv.close()
+            proc.join()
+    stops = [first + len(deltas) * k
+             for first, (deltas, exc) in enumerate(shares) if exc is not None]
+    if stops:
+        raise shares[min(stops) % k][1]
     total = 0.0
     for i in range(grid_size):
-        base = product_bernoulli([AlphaSpec.rational(2 * i + 1, 2 * grid_size)])
-        G = comparison_for("phi", base, n)
-        total += kolmogorov_distance(zn_slabs(base, n), G).delta
+        total += shares[i % k][0][i // k]
     average = total / grid_size
     return average, average * n / math.log(n + 1.0)
 

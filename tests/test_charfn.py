@@ -327,7 +327,7 @@ class TestRecordSkip:
         ("mix:0.2:surd:0,1,1,2=0.8", 1e4),
         ("prod:cf:0;2,30,periodic:1", 1e4),
         ("prod:rat:1/2", 1e3),                  # degenerate exit
-        ("prod:dec:1.41421356237", 1e3),        # no 64-bit mantissa
+        ("prod:dec:1.41421356237", 1e3),        # fewer than 64 digit bits
         ("prod:surd:0,1,1,5", 3e4),             # InsufficientPeaks
         ("prod:rat:1" + "0" * 300 + "/3", 100.0),  # |alpha| > 2^500
     ])
@@ -359,9 +359,22 @@ class TestRecordSkip:
         monkeypatch.setattr(C, "_FLOOR_BLOCK", 1000)
         assert C.growth_fit(spec, 3e4, 8) == fit
 
-    def test_no_mantissa_never_skips(self):
+    def test_decimal_step_skips_like_its_value(self, monkeypatch):
+        # a dec: step has fewer than 64 certified bits, but the floor reads
+        # the value eval uses, so it skips as for any other step
         spec = C.CharSpec.parse("prod:dec:1.41421356237")
-        assert C._record_floor(spec, 199).tolist() == [0.0] * 199
+        full = _full_scan(monkeypatch, spec, 1e4)
+        calls = []
+        refine = C._refine_peak
+
+        def counted(spec, center):
+            calls.append(center)
+            return refine(spec, center)
+
+        monkeypatch.setattr(C, "_refine_peak", counted)
+        assert C.growth_fit(spec, 1e4, 8) == full
+        assert int(1e4 / math.pi) == 3183
+        assert 0 < len(calls) < 32
 
     @settings(max_examples=300, deadline=None)
     @given(_char_specs(), st.integers(1, 20000),

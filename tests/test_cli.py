@@ -207,6 +207,12 @@ class TestAvg:
             float(avg) * 16 / math.log(17.0), rel=1e-12)
 
 
+    def test_bad_n_is_a_config_error(self, capsys):
+        code, out, err = run(capsys, "avg", "--n", "0", "--grid", "4")
+        assert code == 2 and out == ""
+        assert err == "config error: n must be >= 1\n"
+
+
 class TestCf:
     def test_growth_fit_and_spot_suite(self, capsys):
         code, out, _ = run(capsys, "cf", "--spec", "prod:surd:0,1,1,2",
@@ -244,6 +250,19 @@ def test_delta_does_not_import_mpmath():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("64 ")
+
+
+def test_import_starts_no_pool_machinery():
+    # avg imports multiprocessing when it runs, so no command pays for it
+    # in its import
+    code = ("import sys\n"
+            "import cltdioph.cli\n"
+            "sys.exit('multiprocessing' in sys.modules)\n")
+    src = str(Path(cltdioph.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestBounds:

@@ -292,6 +292,26 @@ class TestOrbitKernel:
                          if fails_64_bit_test(alpha, n)] + \
             list(range(200, 301))
 
+    @pytest.mark.parametrize("text", [
+        "rat:3/7", "rat:-5/3", "rat:4", "rat:3/1009", "rat:1/2147483647",
+        "rat:-1234567/2147483648", "rat:" + "9" * 30 + "/13"])
+    def test_rational_takes_integer_residues(self, monkeypatch, text):
+        # below 2^31 the denominator is scanned without the scalar path;
+        # 2^31 and up go back to it
+        alpha = D.AlphaSpec.parse(text)
+        want = [D.nearest_int_dist(alpha, n)[0] for n in range(1, 3001)]
+        calls = []
+        scalar = D.nearest_int_dist
+
+        def counted(a, n):
+            calls.append(n)
+            return scalar(a, n)
+
+        monkeypatch.setattr(D, "nearest_int_dist", counted)
+        assert list(D.orbit_dists(alpha, 3000)) == want
+        big = alpha.exact_fraction().denominator >= 1 << 31
+        assert calls == (list(range(1, 3001)) if big else [])
+
     def test_residues_are_exact(self):
         for text in ("surd:0,1,1,2", "surd:-3,-1,7,11", "rat:-5/3",
                      "cf:7;1,2,periodic:3"):
@@ -309,6 +329,26 @@ class TestTypeEstimate:
         for n_max in (2, 3, 50, 2000):
             assert D.type_estimate(alpha, n_max) == \
                 type_estimate_loop(alpha, n_max)
+
+    @pytest.mark.parametrize("text", [
+        "surd:0,1,1,2", "cf:0;2,30,periodic:1", "rat:3/1009", "rat:5/4096",
+        BIG_QUOTIENT, "dec:0." + "1415926535" * 7, DEC35,
+        "dec:0." + "3" * 20])
+    def test_equals_scalar_scan_in_small_blocks(self, monkeypatch, text):
+        # blocks of 7 and the 64-bit pass cut at 500: records, zeros and
+        # scalar errors fall inside and across block edges
+        alpha = D.AlphaSpec.parse(text)
+        monkeypatch.setattr(D, "_BLOCK", 7)
+        monkeypatch.setattr(D, "_N64", 500)
+        for n_max in (2, 50, 700, 5000):
+            try:
+                want = type_estimate_loop(alpha, n_max)
+            except PrecisionExhausted as exc:
+                with pytest.raises(PrecisionExhausted) as got:
+                    D.type_estimate(alpha, n_max)
+                assert str(got.value) == str(exc)
+            else:
+                assert D.type_estimate(alpha, n_max) == want
 
     @pytest.mark.parametrize("d, eta_hat, count, last", [
         (10, 1.158847334666887, 10,

@@ -138,6 +138,77 @@ class TestAvgDelta:
         assert avg == pytest.approx(total / 2, rel=1e-9)
 
 
+def _avg_loop(n, grid_size):
+    """The one-loop average that avg_delta must reproduce bit for bit."""
+    from cltdioph.edgeworth import comparison_for
+    total = 0.0
+    for i in range(grid_size):
+        base = K.product_bernoulli(
+            [AlphaSpec.rational(2 * i + 1, 2 * grid_size)])
+        total += K.kolmogorov_distance(
+            K.zn_slabs(base, n), comparison_for("phi", base, n)).delta
+    average = total / grid_size
+    return average, average * n / math.log(n + 1.0)
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(R.os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
+
+
+class TestAvgShares:
+    """avg_delta splits its grid over forked workers; no test here asks
+    for more than 4 CPUs, so at most 3 workers."""
+
+    @pytest.mark.parametrize("n, grid", [(16, 1), (16, 3), (256, 128)])
+    def test_one_cpu_equals_all(self, monkeypatch, n, grid):
+        many = R.avg_delta(n, grid)
+        _cpus(monkeypatch, 1)
+        one = R.avg_delta(n, grid)
+        assert one == many
+        assert one == _avg_loop(n, grid)
+
+    @pytest.mark.parametrize("grid", [2, 5, 7])
+    def test_four_shares_equal_loop(self, monkeypatch, grid):
+        _cpus(monkeypatch, 4)
+        assert R.avg_delta(32, grid) == _avg_loop(32, grid)
+
+    def test_no_children_left(self, monkeypatch):
+        import multiprocessing
+        _cpus(monkeypatch, 2)
+        R.avg_delta(16, 4)
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            R.avg_delta(0, 4)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_first_error_on_the_grid_wins(self, monkeypatch, cpus):
+        # alphas 5/16 and 7/16 (i = 2, 3) fail; with 2 or 4 shares i = 2
+        # is a worker's, and the loop would meet it first
+        slabs = R.zn_slabs
+
+        def failing(base, n):
+            alpha = base.spec.alphas[0].exact_fraction()
+            if alpha.denominator == 16 and alpha.numerator in (5, 7):
+                raise PrecisionExhausted(f"alpha {alpha}")
+            return slabs(base, n)
+
+        monkeypatch.setattr(R, "zn_slabs", failing)
+        _cpus(monkeypatch, cpus)
+        with pytest.raises(PrecisionExhausted, match=r"^alpha 5/16$"):
+            R.avg_delta(8, 8)
+
+    def test_worker_without_result(self, monkeypatch):
+        import multiprocessing
+        import os
+        monkeypatch.setattr(R, "_share_worker", lambda *args: os._exit(7))
+        _cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="exited with code 7"):
+            R.avg_delta(8, 4)
+        assert multiprocessing.active_children() == []
+
+
 class TestStarDiscrepancy:
     def test_single_point(self):
         assert R.star_discrepancy(SQRT2, 1) == pytest.approx(0.585786437626905)
