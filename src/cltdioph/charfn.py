@@ -95,7 +95,7 @@ class CharSpec:
         if self.weights is not None:
             if len(self.weights) != len(self.alphas) + 1:
                 raise ValueError("mixture needs weights p0..pm")
-            if any(p <= 0 for p in self.weights):
+            if not all(p > 0 for p in self.weights):  # NaN too
                 raise ValueError("mixture weights must be positive")
             if abs(math.fsum(self.weights) - 1.0) > 2.0 ** -45:
                 raise ValueError("mixture weights must sum to 1")

@@ -337,15 +337,18 @@ class LatticeZn:
 
     The weights live on the integer coordinates (c_0, ..., c_m) of the raw
     sum against (1, alpha_1, ..., alpha_m).  A product's grid is the outer
-    product of m + 1 binomial n-rows.  A mixture's is the sum, over the
-    component counts (k_0, ..., k_m) adding up to n, of their multinomial
-    probability times the outer product of the k_j-rows.  Rational alphas
-    fold into the unit coordinate over their common denominator q: the
-    lattice coordinates are the raw ones times the integer matrix ``fold``,
-    the other coordinates are multiplied by q and the scale is divided by
-    it.  Atoms with equal lattice coordinates merge exactly.  Every atom's
-    position is (coords @ (1, alphas)) * scale, the same operations on
-    every path.
+    product of m + 1 binomial n-rows, each over ``support``, the n-row's
+    window in steps of 2.  A mixture's is the sum, over the component
+    counts (k_0, ..., k_m) adding up to n, of their multinomial
+    probability times the outer product of the k_j-rows; its ``support``
+    is the widest window of the k-rows, k <= n, in steps of 1 (a k-row
+    for k < n can reach one cell past the n-row's window).  Rational
+    alphas fold into the unit coordinate over their common denominator q:
+    the lattice coordinates are the raw ones times the integer matrix
+    ``fold``, the other coordinates are multiplied by q and the scale is
+    divided by it.  Atoms with equal lattice coordinates merge exactly.
+    Every atom's position is (coords @ (1, alphas)) * scale, the same
+    operations on every path.
 
     Each binomial row is cut to its Hoeffding window (``_binom_row``) and
     leaves out at most TAIL_EPS of its mass.  A product grid is the outer
@@ -357,8 +360,13 @@ class LatticeZn:
 
     def __init__(self, spec: CharSpec, n: int, scale: float):
         self.spec, self.n = spec, n
-        self.row, self.support = _binom_row(n)
         m = len(spec.alphas)
+        if spec.weights is None:
+            self.row, self.support = _binom_row(n)
+        else:
+            self.rows = [_binom_row(k)[0] for k in range(n + 1)]
+            e = max(row.size for row in self.rows) - 1
+            self.support = np.arange(-e, e + 1, dtype=np.int64)
         self.tail_mass = (m + 1) * TAIL_EPS if self.support[0] > -n else 0.0
         fracs = [a.exact_fraction() if a.is_rational else None
                  for a in spec.alphas]
@@ -379,9 +387,8 @@ class LatticeZn:
 
     def whole(self) -> DiscreteDist:
         """Z_n as one DiscreteDist: the slabs concatenated."""
-        if self.spec.weights is None:  # a mixture's slab checks its grid
-            self._budget("atoms", self.row.size ** (len(self.spec.alphas) + 1),
-                         _atom_bytes(self.fold.shape[1]))
+        self._budget("atoms", self.support.size ** (len(self.spec.alphas) + 1),
+                     _atom_bytes(self.fold.shape[1]))
         x, w, coords = zip(*self.slabs())
         dist = DiscreteDist(np.concatenate(x), np.concatenate(w),
                             lattice=LatticeTag(self.alphas,
@@ -394,35 +401,53 @@ class LatticeZn:
         """Yield Z_n as (positions, weights, lattice coordinates) slabs,
         each sorted and merged, in increasing position order.
 
-        A mixture comes as one slab.  A product streams its last raw
-        coordinate c_m: a table holds, for every tuple (c_0, ..., c_m-1) in
-        C order, its weight and its lattice coordinates at c_m = 0.  The
+        Both forms stream the last raw coordinate c_m over ``support``: a
+        table holds, for every tuple (c_0, ..., c_m-1) in C order, its
+        lattice coordinates at c_m = 0.  The form decides only the weight
+        at (tuple, c_m): for a product, the tuple's row product times
+        row[c_m]; for a mixture, the cell of its weight grid.  The
         position axis is cut at ``_slab_edges`` into slabs of at most
         about ``SLAB_BYTES`` of working memory, and at least 4 atoms per
         tuple.  Position is monotone in c_m, so the atoms of a tuple that
-        fall in a slab are one run of the row, found from the tuple's
+        fall in a slab are one run of ``support``, found from the tuple's
         approximate position and widened by a margin; each atom then goes
         to the slab that holds its computed position.  Gathered tuple by
         tuple, a slab's atoms are in the grid's C order, and each weight
-        is the grid's left-to-right product, so sorting and merging slab by
-        slab gives the atoms, bits and order, of sorting the whole grid.
-        The near-collision test uses max |position| over the grid, taken
-        at its corners, and also compares the atoms on either side of
-        each slab edge.
+        is the grid's, so sorting and merging slab by slab gives the
+        atoms, bits and order, of sorting the whole grid.  Cells of weight
+        0.0 (unreachable or underflowed) are dropped.  The near-collision
+        test uses max |position| over the grid, taken at its corners, and
+        also compares the atoms on either side of each slab edge.
         """
-        if self.spec.weights is not None:
-            yield self._mixture_slab()
-            return
-        row, support, width = self.row, self.support, self.fold.shape[1]
-        m, size, e = len(self.spec.alphas), row.size, int(support[-1])
+        support, width = self.support, self.fold.shape[1]
+        m, size, e = len(self.spec.alphas), support.size, int(support[-1])
         tuples = size ** m
-        self._budget("tuples", tuples, 8 * width + 64)
-        weight = np.ones(1)
-        if m:
-            weight = row
-            for _ in range(m - 1):
-                weight = np.multiply.outer(weight, row)
-        weight = weight.ravel()
+        product = self.spec.weights is None
+        # the tuple table, and a mixture's weight grid at 8 B a cell
+        self._budget("tuples", tuples,
+                     8 * width + 64 + (0 if product else 8 * size))
+        if product:
+            row, gap = self.row, 2
+            table = np.ones(1)
+            for _ in range(m):
+                table = np.multiply.outer(table, row)
+        else:
+            # mixture weights over a common denominator: normalized
+            # exactly, although the floats p_j need not add up to exactly 1
+            common = math.lcm(*(Fraction(p).denominator
+                                for p in self.spec.weights))
+            ints = [int(Fraction(p) * common) for p in self.spec.weights]
+            total = sum(ints) ** self.n
+            table, gap = np.zeros((size,) * (m + 1)), 1
+            for counts, weight in _multinomials(self.n, ints):
+                block = weight / total
+                cells = []
+                for k in counts:
+                    block = np.multiply.outer(block, self.rows[k])
+                    edge = self.rows[k].size - 1
+                    cells.append(slice(e - edge, e + edge + 1, 2))
+                table[tuple(cells)] += block
+        table = table.ravel()
         at = np.arange(tuples)
         base = np.zeros((tuples, width), dtype=np.int64)
         for k in range(m):
@@ -435,7 +460,7 @@ class LatticeZn:
         spread = max(1.0, float(np.max(np.abs(
             ((corners @ self.fold) @ self.vals) * self.scale))))
         cap = max(SLAB_BYTES // _slab_atom_bytes(width), 4 * tuples)
-        edges = _slab_edges(start, slope, e, cap)
+        edges = _slab_edges(start, gap * slope, size, cap)
         cuts = np.concatenate(([-np.inf], edges, [np.inf]))
         margin = spread * 2.0 ** -40
         last, placed = -np.inf, 0
@@ -443,19 +468,21 @@ class LatticeZn:
             if edges.size:
                 ends = (np.array([[lo - margin], [hi + margin]]) - start) \
                     / slope
-                first = np.clip(np.ceil((ends.min(axis=0) + e) / 2), 0,
+                first = np.clip(np.ceil((ends.min(axis=0) + e) / gap), 0,
                                 size).astype(np.int64)
-                stop = np.clip(np.floor((ends.max(axis=0) + e) / 2) + 1,
+                stop = np.clip(np.floor((ends.max(axis=0) + e) / gap) + 1,
                                first, size).astype(np.int64)
                 runs = stop - first
                 tj = np.repeat(at, runs)
                 cj = np.arange(tj.size) \
                     - np.repeat(np.cumsum(runs) - runs - first, runs)
-                w = np.take(weight, tj) * np.take(row, cj)
+                w = np.take(table, tj) * np.take(row, cj) if product \
+                    else np.take(table, tj * size + cj)
                 # np.take: fancy indexing of 2-d rows is several times slower
                 coords, c_m = np.take(base, tj, axis=0), np.take(support, cj)
             else:  # one slab: the whole grid
-                w = np.multiply.outer(weight, row).ravel()
+                w = np.multiply.outer(table, row).ravel() if product \
+                    else table
                 coords = np.repeat(base, size, axis=0)
                 c_m = np.tile(support, tuples)
             for k in np.flatnonzero(step):
@@ -478,37 +505,6 @@ class LatticeZn:
             raise RuntimeError(f"slabs placed {placed} of {tuples * size} "
                                "atoms")
 
-    def _mixture_slab(self):
-        n, m = self.n, len(self.spec.alphas)
-        support = np.arange(-n, n + 1, dtype=np.int64)
-        self._budget("atoms", support.size ** (m + 1),
-                     _atom_bytes(self.fold.shape[1]))
-        # mixture weights over a common denominator: normalized exactly,
-        # although the floats p_j need not add up to exactly 1
-        common = math.lcm(*(Fraction(p).denominator
-                            for p in self.spec.weights))
-        ints = [int(Fraction(p) * common) for p in self.spec.weights]
-        total = sum(ints) ** n
-        grid = np.zeros((support.size,) * (m + 1))
-        rows = [_binom_row(k) for k in range(n + 1)]
-        for counts, weight in _multinomials(n, ints):
-            block = weight / total
-            cells = []
-            for k in counts:
-                row, at = rows[k]
-                block = np.multiply.outer(block, row)
-                cells.append(slice(at[0] + n, at[-1] + n + 1, 2))
-            grid[tuple(cells)] += block
-        raw = np.stack(np.meshgrid(*([support] * (m + 1)), indexing="ij"),
-                       axis=-1).reshape(-1, m + 1)
-        coords = raw @ self.fold
-        x = (coords @ self.vals) * self.scale
-        # cells of weight 0.0 (unreachable or underflowed) are dropped
-        keep = grid.ravel() > 0.0
-        x, w, coords = x[keep], grid.ravel()[keep], coords[keep]
-        return self._sort_merge(x, w, coords,
-                                max(1.0, float(np.max(np.abs(x)))))
-
     def _sort_merge(self, x, w, coords, spread):
         """Sort atoms by position and merge those with equal coordinates.
         Equal coordinates come only from folded rational steps, and then
@@ -521,7 +517,7 @@ class LatticeZn:
 
     def _budget(self, what: str, count: int, each: int) -> None:
         _over_budget(f"Z_n for n = {self.n}, m = {len(self.spec.alphas)}: "
-                     f"row window {self.row.size}, {count} {what} would",
+                     f"row window {self.support.size}, {count} {what} would",
                      count * each)
 
 
@@ -532,29 +528,29 @@ def _slab_atom_bytes(width: int) -> int:
     return 96 + 24 * width
 
 
-def _slab_edges(start: np.ndarray, slope: float, e: int, cap: int):
-    """Positions that cut the atoms start_j + slope * c, c = -e, -e + 2,
-    ..., e, into slabs of about equal count, at most about ``cap`` each.
+def _slab_edges(start: np.ndarray, pitch: float, size: int, cap: int):
+    """Positions that cut the atoms start_j + pitch * (i - (size - 1) / 2),
+    i = 0, ..., size - 1, into slabs of about equal count, at most about
+    ``cap`` each.
 
     Within one atom per tuple, the number of atoms below x is
-    sum_j clip((x - start_j + h) / (2 |slope|), 0, e + 1) with
-    h = |slope| (e + 1): each row is e + 1 atoms spaced 2 |slope| apart.
+    sum_j clip((x - start_j + h) / |pitch|, 0, size) with
+    h = |pitch| size / 2: each row is ``size`` atoms spaced |pitch| apart.
     The sum is read off the sorted start_j and their prefix sums on a grid
     of x and inverted by interpolation.
     """
-    size = e + 1
     total = start.size * size
     slabs = -(-total // cap)
-    if slabs <= 1 or slope == 0.0:
+    if slabs <= 1 or pitch == 0.0:
         return np.empty(0)
     start = np.sort(start)
     sums = np.concatenate(([0.0], np.cumsum(start)))
-    h = abs(slope) * size
+    h = abs(pitch) * size / 2
     x = np.linspace(start[0] - h, start[-1] + h, 32 * slabs + 1)
     lo = np.searchsorted(start, x - h)
     hi = np.searchsorted(start, x + h)
     below = size * lo + ((x + h) * (hi - lo) - (sums[hi] - sums[lo])) \
-        / (2.0 * abs(slope))
+        / abs(pitch)
     return np.interp(total * np.arange(1, slabs) / slabs, below, x)
 
 

@@ -78,7 +78,19 @@ class TestDelta:
         code, out, _ = run(capsys, "delta", "--base",
                            "mix:0.5:surd:0,1,1,2=0.5", "--n", "256")
         assert code == 0
-        assert 0.0 < float(out.split()[1]) < 0.01
+        assert out == "256 0.0017038622020335015 -0.26391072316645653 right\n"
+
+    @pytest.mark.parametrize("args, want", [
+        (("--base", "mix:0.5:surd:0,1,1,11=0.5", "--n", "96"),
+         "96 0.0041348766684291549 0.16666666666666669 left\n"),
+        (("--base", "mix:0.5:surd:0,1,1,2=0.5", "--n", "91", "--target",
+          "phi3"),
+         "91 0.0046159138447664505 -0.18586947944339191 right\n"),
+    ])
+    def test_mixture_output_unchanged(self, capsys, args, want):
+        code, out, _ = run(capsys, "delta", *args)
+        assert code == 0
+        assert out == want
 
     def test_rational_step(self, capsys):
         code, out, _ = run(capsys, "delta", "--base", "prod:rat:1/3",

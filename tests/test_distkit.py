@@ -268,9 +268,10 @@ class TestZnDist:
 
     @pytest.mark.parametrize("weights", [[1.0], [0.5, 0.25, 0.25],
                                          [1.0, 0.0], [1.5, -0.5],
-                                         [0.5, 0.4]])
+                                         [0.5, 0.4], [math.nan, 0.5],
+                                         [0.5, math.nan]])
     def test_mixture_rejects_bad_weights(self, weights):
-        # wrong length, non-positive, not normalized
+        # wrong length, non-positive, not normalized, not a number
         with pytest.raises(ValueError, match="weights"):
             K.mixture_bernoulli(weights, [SQRT2])
 
@@ -407,15 +408,42 @@ def test_exact_rational_mode_mass():
     assert sum(exact.values()) == Fraction(1)
 
 
-def whole_grid(spec, n):
-    """Z_n as a whole-grid engine builds it: the outer product of the
-    binomial rows in C order, rational steps folded into the unit
-    coordinate over their common denominator q, positions
-    (coords @ (1, alphas)) * scale, one stable sort and merge."""
-    row, support = K._binom_row(n)
-    grid = row
-    for _ in spec.alphas:
-        grid = np.multiply.outer(grid, row)
+def dense_mixture(spec, n):
+    """A mixture's weight grid on every raw coordinate tuple in
+    [-n, n]^(m + 1), as a dense-grid engine builds it: the sum, over the
+    component counts (k_0, ..., k_m) in composition order, of their
+    multinomial probability times the outer product of the k_j-rows, with
+    the mixture weights normalized over a common denominator.  Returns the
+    grid and the support of each raw coordinate."""
+    common = math.lcm(*(Fraction(p).denominator for p in spec.weights))
+    ints = [int(Fraction(p) * common) for p in spec.weights]
+    total = sum(ints) ** n
+    grid = np.zeros((2 * n + 1,) * len(ints))
+    rows = [K._binom_row(k) for k in range(n + 1)]
+    for counts, weight in K._multinomials(n, ints):
+        block = weight / total
+        cells = []
+        for k in counts:
+            row, at = rows[k]
+            block = np.multiply.outer(block, row)
+            cells.append(slice(at[0] + n, at[-1] + n + 1, 2))
+        grid[tuple(cells)] += block
+    return grid, np.arange(-n, n + 1)
+
+
+def grid_atoms(spec, n):
+    """Every cell of Z_n's whole grid, unsorted: positions, weights and
+    lattice tag.  A product's grid is the outer product of the binomial
+    rows in C order, a mixture's is ``dense_mixture``; rational steps fold
+    into the unit coordinate over their common denominator q, and the
+    positions are (coords @ (1, alphas)) * scale."""
+    if spec.weights is None:
+        row, support = K._binom_row(n)
+        grid = row
+        for _ in spec.alphas:
+            grid = np.multiply.outer(grid, row)
+    else:
+        grid, support = dense_mixture(spec, n)
     raw = np.meshgrid(*[support] * grid.ndim, indexing="ij")
     fracs = [a.exact_fraction() if a.is_rational else None
              for a in spec.alphas]
@@ -431,10 +459,16 @@ def whole_grid(spec, n):
     base = K.bernoulli_base(spec)
     scale = 1.0 / (math.sqrt(K.moments(base).sigma2) * math.sqrt(n)) / q
     x = (coords @ np.array([1.0] + [a.to_float() for a in alphas])) * scale
-    z = K.DiscreteDist(x, grid.ravel(),
-                       lattice=K.LatticeTag(alphas, coords, scale))
-    if support[0] > -n:  # each cut row leaves out at most TAIL_EPS
-        z.tail_mass = grid.ndim * K.TAIL_EPS
+    return x, grid.ravel(), K.LatticeTag(alphas, coords, scale)
+
+
+def whole_grid(spec, n):
+    """Z_n as a whole-grid engine builds it: ``grid_atoms``, cells of
+    weight 0.0 dropped, one stable sort and merge."""
+    x, w, tag = grid_atoms(spec, n)
+    z = K.DiscreteDist(x, w, lattice=tag)
+    if K._binom_row(n)[1][0] > -n:  # each cut row leaves out at most TAIL_EPS
+        z.tail_mass = (len(spec.alphas) + 1) * K.TAIL_EPS
     return z
 
 
@@ -448,6 +482,10 @@ class TestStreamedScan:
         ("prod:surd:0,1,1,2,surd:0,1,1,3", 40),
         ("prod:rat:3/7,surd:0,1,1,2", 200),   # folds, and atoms merge
         ("prod:cf:0;2,30,periodic:1", 500),
+        ("mix:0.5:surd:0,1,1,2=0.5", 91),     # a k-row for k < n is wider
+        ("mix:0.5:surd:0,1,1,2=0.5", 256),    # than the n-row
+        ("mix:0.5:rat:1/3=0.25,surd:0,1,1,2=0.25", 64),  # folds and merges
+        ("mix:0.2:surd:0,1,1,2=0.3,surd:0,1,1,5=0.5", 40),
     ])
     @pytest.mark.parametrize("skewed", [False, True])
     def test_many_slabs_bit_identical(self, monkeypatch, text, n, skewed):
@@ -473,29 +511,23 @@ class TestStreamedScan:
         assert np.array_equal(glued.weights, whole.weights)
         assert np.array_equal(glued.lattice.coords, whole.lattice.coords)
 
-    def test_mixture_is_one_slab(self, monkeypatch):
-        monkeypatch.setattr(K, "SLAB_BYTES", self.SMALL)
-        base = K.mixture_bernoulli([0.5, 0.5], [SQRT2])
-        z = K.zn_slabs(base, 64)
-        assert sum(1 for _ in z.slabs()) == 1
-        assert K.kolmogorov_distance(z, PhiFn()) \
-            == K.kolmogorov_distance(K.zn_dist(base, 64), PhiFn())
-
     def test_collision_straddling_a_slab_edge(self, monkeypatch):
         # sqrt 8 = 2 sqrt 2: distinct coordinate tuples at one point, whose
         # computed positions can differ by an ulp; put a slab edge between
-        # such a pair
-        base = K.bernoulli_base(
-            CharSpec.parse("prod:surd:0,1,1,2,surd:0,1,1,8"))
-        z = K.zn_slabs(base, 64)
-        raw = np.stack(np.meshgrid(*[z.support] * 3, indexing="ij"), axis=-1)
-        x = np.sort(((raw.reshape(-1, 3) @ z.fold) @ z.vals) * z.scale)
-        gap = np.diff(x)
-        i = np.flatnonzero((gap > 0) & (gap <= 1e-12 * np.max(np.abs(x))))[0]
-        monkeypatch.setattr(K, "_slab_edges",
-                            lambda *args: np.array([x[i + 1]]))
-        with pytest.raises(PrecisionExhausted):
-            K.kolmogorov_distance(z, PhiFn())
+        # such a pair of atoms
+        for text in ("prod:surd:0,1,1,2,surd:0,1,1,8",
+                     "mix:0.5:surd:0,1,1,2=0.25,surd:0,1,1,8=0.25"):
+            spec = CharSpec.parse(text)
+            x, w, _ = grid_atoms(spec, 64)
+            x = np.sort(x[w > 0.0])
+            gap = np.diff(x)
+            i = np.flatnonzero((gap > 0)
+                               & (gap <= 1e-12 * np.max(np.abs(x))))[0]
+            monkeypatch.setattr(K, "_slab_edges",
+                                lambda *args: np.array([x[i + 1]]))
+            z = K.zn_slabs(K.bernoulli_base(spec), 64)
+            with pytest.raises(PrecisionExhausted):
+                K.kolmogorov_distance(z, PhiFn())
 
     def test_collision_test_crosses_every_edge(self, monkeypatch):
         # neighbouring atoms 1/q apart in the unit coordinate collide at
@@ -506,8 +538,9 @@ class TestStreamedScan:
         with pytest.raises(PrecisionExhausted):
             K.zn_dist(base, 16)
 
-        def every_gap(start, slope, e, cap):
-            x = np.unique(np.add.outer(start, slope * np.arange(-e, e + 1, 2)))
+        def every_gap(start, pitch, size, cap):
+            x = np.unique(np.add.outer(
+                start, pitch * (np.arange(size) - (size - 1) / 2)))
             return (x[1:] + x[:-1]) / 2
 
         monkeypatch.setattr(K, "_slab_edges", every_gap)
@@ -534,6 +567,30 @@ class TestStreamedScan:
             tracemalloc.stop()
         assert len(z) > 10 ** 6
         assert scan_peak < bound < whole_peak
+
+    def test_mixture_scan_memory_is_set_by_its_window(self):
+        # a mixture's scan holds its weight grid on the widest window of
+        # its k-rows, (2E + 1)^2 cells at n = 1024, and one slab; the grid
+        # of every raw coordinate pair would be 2049^2 cells
+        base = K.mixture_bernoulli([0.5, 0.5], [SQRT2])
+        n = 1024
+        e = max(int(K._binom_row(k)[1][-1]) for k in range(n + 1))
+        bound = 8 * (2 * e + 1) ** 2 + 2 * K.SLAB_BYTES
+        tracemalloc.start()
+        try:
+            K.kolmogorov_distance(K.zn_slabs(base, n), PhiFn())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    def test_mixture_weight_grid_is_charged(self, monkeypatch):
+        # the budget holds the weight grid at 8 B a cell, but not the grid
+        # and the tuple table together
+        z = K.zn_slabs(K.mixture_bernoulli([0.5, 0.5], [SQRT2]), 256)
+        monkeypatch.setattr(K, "MEMORY_BUDGET", 8 * z.support.size ** 2)
+        with pytest.raises(SupportOverflow, match=r"tuples would need \d+ B"):
+            K.kolmogorov_distance(z, PhiFn())
 
     def test_tuple_table_over_budget(self):
         base = K.product_bernoulli(
