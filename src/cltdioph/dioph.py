@@ -369,14 +369,6 @@ def cf_expand(alpha: AlphaSpec, depth: int, partial: bool = False) -> ContinuedF
     return ContinuedFraction(a0, quots, certified=certified)
 
 
-def convergents(cf: ContinuedFraction, k: int) -> list[Fraction]:
-    """Convergents p_i/q_i for i = 0..k as exact rationals."""
-    if k < 0 or k >= len(cf.convergents):
-        raise ValueError(f"convergent index {k} out of range "
-                         f"(have {len(cf.convergents)})")
-    return cf.convergents[:k + 1]
-
-
 # ---------------------------------------------------------------------------
 # nearest-integer distance
 

@@ -13,7 +13,7 @@ increasing position order.  ``kolmogorov_distance`` scans those slabs
 without ever holding Z_n whole; ``zn_dist`` concatenates them into a
 DiscreteDist, and every other base goes through convolution powers.  The
 binomial rows are cut to a Hoeffding window, and a bound on the mass left
-out (``tail_mass``) is carried through convolutions and mixtures to
+out (``tail_mass``) is carried through convolutions to
 ``KolmogorovResult.error_bound``.
 """
 
@@ -82,7 +82,7 @@ class DiscreteDist:
     spec: Optional[CharSpec] = None
     #: upper bound on the probability mass the lattice builder left out of
     #: Z_n (the weights sum to 1 minus at most this), carried through
-    #: convolve and mixture; 0.0 for every other constructor
+    #: convolve; 0.0 for every other constructor
     tail_mass: float = 0.0
 
     def __init__(self, positions: np.ndarray, weights: np.ndarray,
@@ -129,18 +129,6 @@ class DiscreteDist:
         """The distribution as the one slab ``kolmogorov_distance`` scans."""
         yield self.positions, self.weights
 
-    # -- CDF queries --------------------------------------------------------
-
-    def cdf(self, x: float) -> float:
-        """P{X <= x} (right-continuous)."""
-        i = np.searchsorted(self.positions, x, side="right")
-        return float(self._cum[i - 1]) if i > 0 else 0.0
-
-    def cdf_left(self, x: float) -> float:
-        """P{X < x} (left limit of the CDF)."""
-        i = np.searchsorted(self.positions, x, side="left")
-        return float(self._cum[i - 1]) if i > 0 else 0.0
-
 
 def _merge_atoms(positions, weights, coords, spread):
     """Merge coincident atoms after sorting.
@@ -173,10 +161,6 @@ def _merge_atoms(positions, weights, coords, spread):
 
 # ---------------------------------------------------------------------------
 # constructors
-
-
-def delta(position: float = 0.0) -> DiscreteDist:
-    return DiscreteDist(np.array([position]), np.array([1.0]))
 
 
 def bernoulli_pm(scale) -> DiscreteDist:
@@ -212,26 +196,6 @@ def mixture_bernoulli(weights: Sequence[float],
     return bernoulli_base(CharSpec.mixture(weights, alphas))
 
 
-def mixture(components: Sequence[tuple[float, DiscreteDist]]) -> DiscreteDist:
-    """Weighted union of distributions (weights positive, summing to 1)."""
-    if not components:
-        raise ValueError("empty mixture")
-    ws = [w for w, _ in components]
-    if any(w <= 0 for w in ws) or abs(sum(ws) - 1.0) > _MASS_TOL:
-        raise ValueError(f"mixture weights must be positive and sum to 1, got {ws}")
-    positions = np.concatenate([d.positions for _, d in components])
-    weights = np.concatenate([w * d.weights for w, d in components])
-    tags = [d.lattice for _, d in components]
-    lattice = None
-    if all(t is not None for t in tags) and all(tags[0].compatible(t) for t in tags):
-        lattice = LatticeTag(tags[0].alphas,
-                             np.concatenate([t.coords for t in tags]),
-                             tags[0].scale)
-    dist = DiscreteDist(positions, weights, lattice=lattice)
-    dist.tail_mass = sum(w * d.tail_mass for w, d in components)
-    return dist
-
-
 # ---------------------------------------------------------------------------
 # convolution and normalized sums
 
@@ -260,37 +224,43 @@ def convolve(d1: DiscreteDist, d2: DiscreteDist) -> DiscreteDist:
     return dist
 
 
+def _row_edge(n: int) -> int:
+    """The largest |s| that ``_binom_row(n)`` keeps: the largest s <= n,
+    of the parity of n, with s <= t = sqrt(2 n ln(2 / TAIL_EPS)).  t grows
+    with n, so the edge grows with n within each parity."""
+    t = math.sqrt(2 * n * math.log(2 / TAIL_EPS))
+    return n - 2 * max(0, math.ceil((n - t) / 2))
+
+
 def _binom_row(n: int) -> tuple[np.ndarray, np.ndarray]:
     """P{S = s} for a sum S of n +/-1 coin flips, and the support s.
 
     Only the Hoeffding window |s| <= t, t = sqrt(2 n ln(2 / TAIL_EPS)), is
-    kept: P{|S| > t} <= 2 exp(-t^2 / 2n) = TAIL_EPS, so the row leaves out
-    at most TAIL_EPS of its mass (none for n <= 90, where t > n).  Each
-    kept weight is the correctly rounded double of the exact rational
-    C(n,k)/2^n: the coefficients come from the exact integer recurrence
-    C(n,k+1) = C(n,k)(n-k)/(k+1), started at C(n,k0) for the first kept
-    k0, and int true division rounds correctly.  Tails that underflow to
-    0.0 are cut as well.
+    kept (``_row_edge``): P{|S| > t} <= 2 exp(-t^2 / 2n) = TAIL_EPS, so the
+    row leaves out at most TAIL_EPS of its mass (none for n <= 90, where
+    t > n).  Each kept weight is the correctly rounded double of the exact
+    rational C(n,k)/2^n: the coefficients come from the exact integer
+    recurrence C(n,k+1) = C(n,k)(n-k)/(k+1), started at C(n,k0) for the
+    first kept k0, and int true division rounds correctly.  No kept weight
+    underflows: it is at least 2^-90 in a whole row, and about
+    2^-65 / sqrt(n) at the edge of a cut one.
     """
-    t = math.sqrt(2 * n * math.log(2 / TAIL_EPS))
-    k0 = max(0, math.ceil((n - t) / 2))  # first k with n - 2k <= t
+    edge = _row_edge(n)
+    k0 = (n - edge) // 2
     denom = 1 << n
-    row = np.empty(n + 1 - 2 * k0)
+    row = np.empty(edge + 1)
     c = math.comb(n, k0)
     for k in range(k0, n // 2 + 1):
         row[k - k0] = row[n - k - k0] = c / denom
         c = c * (n - k) // (k + 1)
-    lo = int(np.argmax(row > 0.0))
-    edge = n - 2 * (k0 + lo)
-    support = np.arange(-edge, edge + 1, 2, dtype=np.int64)
-    return row[lo:row.size - lo], support
+    return row, np.arange(-edge, edge + 1, 2, dtype=np.int64)
 
 
 def _zn_scale(base: DiscreteDist, n: int) -> float:
     """1 / (sigma sqrt(n)), the factor from the raw sum to Z_n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    mom = moments(base, n)
+    mom = moments(base)
     if mom.sigma2 <= 0:
         raise ValueError("base distribution is degenerate")
     return 1.0 / (math.sqrt(mom.sigma2) * math.sqrt(n))
@@ -364,8 +334,8 @@ class LatticeZn:
         if spec.weights is None:
             self.row, self.support = _binom_row(n)
         else:
-            self.rows = [_binom_row(k)[0] for k in range(n + 1)]
-            e = max(row.size for row in self.rows) - 1
+            # the widest k-row window, k <= n: the n-row's or the (n-1)-row's
+            e = max(_row_edge(n - 1), _row_edge(n))
             self.support = np.arange(-e, e + 1, dtype=np.int64)
         self.tail_mass = (m + 1) * TAIL_EPS if self.support[0] > -n else 0.0
         fracs = [a.exact_fraction() if a.is_rational else None
@@ -438,13 +408,14 @@ class LatticeZn:
                                 for p in self.spec.weights))
             ints = [int(Fraction(p) * common) for p in self.spec.weights]
             total = sum(ints) ** self.n
+            rows = [_binom_row(k)[0] for k in range(self.n + 1)]
             table, gap = np.zeros((size,) * (m + 1)), 1
             for counts, weight in _multinomials(self.n, ints):
                 block = weight / total
                 cells = []
                 for k in counts:
-                    block = np.multiply.outer(block, self.rows[k])
-                    edge = self.rows[k].size - 1
+                    block = np.multiply.outer(block, rows[k])
+                    edge = rows[k].size - 1
                     cells.append(slice(e - edge, e + edge + 1, 2))
                 table[tuple(cells)] += block
         table = table.ravel()
@@ -497,8 +468,7 @@ class LatticeZn:
             if x.size == 0:
                 continue
             if width > 1 and x[0] - last <= _MERGE_TOL * spread:
-                raise PrecisionExhausted(
-                    "distinct lattice atoms collide at double precision")
+                raise self._collision()
             last = x[-1]
             yield x, w, coords
         if placed != tuples * size:
@@ -512,8 +482,19 @@ class LatticeZn:
         distinct coordinates a tie in position is a collision, which
         raises, so any sort gives the same atoms."""
         order = np.argsort(x, kind="stable" if self.folded else "quicksort")
-        return _merge_atoms(x[order], w[order], np.take(coords, order, axis=0),
-                            spread)
+        try:
+            return _merge_atoms(x[order], w[order],
+                                np.take(coords, order, axis=0), spread)
+        except PrecisionExhausted:
+            raise self._collision() from None
+
+    def _collision(self) -> PrecisionExhausted:
+        steps = ", ".join(["1"] + [a.text for a in self.spec.alphas])
+        return PrecisionExhausted(
+            f"Z_n for n = {self.n} with steps {steps}: two atoms with "
+            "different lattice coordinates fall within double rounding of "
+            "each other; the steps may be rationally dependent (not reduced "
+            "yet) or too close to order in doubles")
 
     def _budget(self, what: str, count: int, each: int) -> None:
         _over_budget(f"Z_n for n = {self.n}, m = {len(self.spec.alphas)}: "
@@ -618,23 +599,14 @@ class Moments(NamedTuple):
     mean: float
     sigma2: float   # variance
     alpha3: float   # E X^3
-    beta3: float    # E |X|^3
     beta4: float    # E X^4
-    lyapunov3: float  # L_3 = beta3 / sigma^3 / sqrt(n)
-    lyapunov4: float  # L_4 = beta4 / sigma^4 / n
 
 
-def moments(d: DiscreteDist, n: int = 1) -> Moments:
+def moments(d: DiscreteDist) -> Moments:
     x, w = d.positions, d.weights
     mean = math.fsum(w * x)
-    sigma2 = math.fsum(w * (x - mean) ** 2)
-    alpha3 = math.fsum(w * x ** 3)
-    beta3 = math.fsum(w * np.abs(x) ** 3)
-    beta4 = math.fsum(w * x ** 4)
-    sigma = math.sqrt(sigma2) if sigma2 > 0 else 0.0
-    l3 = beta3 / sigma ** 3 / math.sqrt(n) if sigma > 0 else math.inf
-    l4 = beta4 / sigma ** 4 / n if sigma > 0 else math.inf
-    return Moments(mean, sigma2, alpha3, beta3, beta4, l3, l4)
+    return Moments(mean, math.fsum(w * (x - mean) ** 2),
+                   math.fsum(w * x ** 3), math.fsum(w * x ** 4))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import ndtr
 
 from .distkit import DiscreteDist, moments
 from .errors import MomentMismatch
@@ -25,17 +26,14 @@ SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
 def std_normal_cdf(x):
-    """Standard normal CDF via the complementary error function."""
-    if np.ndim(x) == 0:
-        return 0.5 * math.erfc(-float(x) / math.sqrt(2.0))
-    from scipy.special import ndtr
+    """Standard normal CDF, elementwise, by scipy's ``ndtr``; a scalar
+    gives a numpy float64."""
     return ndtr(np.asarray(x, dtype=np.float64))
 
 
 def std_normal_pdf(x):
-    x = np.asarray(x, dtype=np.float64) if np.ndim(x) else float(x)
-    return np.exp(-np.square(x) / 2.0) / SQRT_TWO_PI if np.ndim(x) \
-        else math.exp(-x * x / 2.0) / SQRT_TWO_PI
+    x = np.asarray(x, dtype=np.float64)
+    return np.exp(-np.square(x) / 2.0) / SQRT_TWO_PI
 
 
 @dataclass(frozen=True)
@@ -95,21 +93,14 @@ def phi3(x, p: EdgeworthParams):
     a = p.a
     if a == 0.0:
         return std_normal_cdf(x)
-    if np.ndim(x) == 0:
-        x = float(x)
-        return std_normal_cdf(x) - a * (x * x - 1.0) * std_normal_pdf(x)
     x = np.asarray(x, dtype=np.float64)
     return std_normal_cdf(x) - a * (np.square(x) - 1.0) * std_normal_pdf(x)
 
 
 def phi3_deriv(x, p: EdgeworthParams):
     """d/dx Phi3 = phi(x) (1 + a (x^3 - 3x))."""
-    a = p.a
-    if np.ndim(x) == 0:
-        x = float(x)
-        return std_normal_pdf(x) * (1.0 + a * (x ** 3 - 3.0 * x))
     x = np.asarray(x, dtype=np.float64)
-    return std_normal_pdf(x) * (1.0 + a * (x ** 3 - 3.0 * x))
+    return std_normal_pdf(x) * (1.0 + p.a * (x ** 3 - 3.0 * x))
 
 
 def phi3_stationary_points(p: EdgeworthParams) -> list[float]:

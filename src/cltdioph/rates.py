@@ -221,12 +221,10 @@ class ComparisonReport:
 
 
 def compare_16_vs_17(alpha: AlphaSpec, n_list_delta,
-                     n_list_dstar=None) -> ComparisonReport:
+                     n_list_dstar) -> ComparisonReport:
     """Side-by-side rate fits for the CLT distance and the star
     discrepancy of the orbit of alpha; for badly approximable alpha both
     targets are 1/n."""
-    if n_list_dstar is None:
-        n_list_dstar = n_list_delta
     sweep = delta_sweep(product_bernoulli([alpha]), n_list_delta)
     return ComparisonReport(
         delta_fit=rate_fit([r.n for r in sweep.rows],

@@ -122,6 +122,16 @@ class TestDelta:
         assert code == 3
         assert err.startswith("resource error:") and err.count("\n") == 1
 
+    def test_collision_names_n_and_steps(self, capsys):
+        # 2 sqrt2 = sqrt8: the atoms that collide are the same point, so the
+        # error must not claim they are distinct
+        code, _, err = run(capsys, "delta", "--base",
+                           "prod:surd:0,1,1,2,surd:0,1,1,8", "--n", "64")
+        assert code == 3
+        assert err.startswith("resource error: Z_n for n = 64 with steps 1, "
+                              "surd:0,1,1,2, surd:0,1,1,8:")
+        assert "rationally dependent" in err and "distinct" not in err
+
     def test_bad_flag_exit_code(self, capsys):
         assert run(capsys, "delta", "--nope")[0] == 2
         assert run(capsys, "no-such-command")[0] == 2

@@ -111,22 +111,22 @@ class TestCfExpand:
 class TestConvergents:
     def test_sqrt2_values(self):
         cf = D.cf_expand(SQRT2, 8)
-        assert D.convergents(cf, 4) == [Fraction(1), Fraction(3, 2),
-                                        Fraction(7, 5), Fraction(17, 12),
-                                        Fraction(41, 29)]
+        assert cf.convergents[:5] == [Fraction(1), Fraction(3, 2),
+                                      Fraction(7, 5), Fraction(17, 12),
+                                      Fraction(41, 29)]
 
     def test_base_case(self):
         cf = D.cf_expand(D.AlphaSpec.rational(7, 2), 5)
-        assert D.convergents(cf, 0) == [Fraction(3, 1)]
+        assert cf.convergents[:1] == [Fraction(3, 1)]
 
     def test_golden_fibonacci(self):
         cf = D.cf_expand(GOLDEN, 8)
-        assert D.convergents(cf, 5) == [Fraction(1), Fraction(2), Fraction(3, 2),
-                                        Fraction(5, 3), Fraction(8, 5), Fraction(13, 8)]
+        assert cf.convergents[:6] == [Fraction(1), Fraction(2), Fraction(3, 2),
+                                      Fraction(5, 3), Fraction(8, 5), Fraction(13, 8)]
 
     def test_determinant_identity(self):
         cf = D.cf_expand(SQRT3, 25)
-        cs = D.convergents(cf, 24)
+        cs = cf.convergents[:25]
         for k in range(1, len(cs)):
             p1, q1 = cs[k].numerator, cs[k].denominator
             p0, q0 = cs[k - 1].numerator, cs[k - 1].denominator
@@ -136,11 +136,6 @@ class TestConvergents:
         cf = D.cf_expand(SQRT2, 20)
         qs = [c.denominator for c in cf.convergents]
         assert all(qs[k] > qs[k - 1] for k in range(2, len(qs)))
-
-    def test_out_of_range(self):
-        cf = D.cf_expand(SQRT2, 3)
-        with pytest.raises(ValueError):
-            D.convergents(cf, 10)
 
 
 class TestNearestIntDist:

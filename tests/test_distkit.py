@@ -57,26 +57,6 @@ class TestConstructors:
         with pytest.raises(ValueError):
             K.bernoulli_pm(0)
 
-    def test_mixture_identity(self):
-        d = K.bernoulli_pm(1)
-        m = K.mixture([(1.0, d)])
-        assert np.array_equal(m.positions, d.positions)
-
-    def test_mixture_union(self):
-        m = K.mixture([(0.5, K.bernoulli_pm(1)), (0.5, K.bernoulli_pm(SQRT2))])
-        assert len(m) == 4
-        assert np.allclose(m.weights, 0.25)
-        assert np.allclose(m.positions,
-                           sorted([-math.sqrt(2), -1, 1, math.sqrt(2)]))
-
-    def test_mixture_merges_identical(self):
-        m = K.mixture([(0.5, K.bernoulli_pm(1)), (0.5, K.bernoulli_pm(1))])
-        assert len(m) == 2 and np.allclose(m.weights, 0.5)
-
-    def test_mixture_weight_violation(self):
-        with pytest.raises(ValueError):
-            K.mixture([(0.6, K.bernoulli_pm(1)), (0.6, K.bernoulli_pm(2))])
-
     @pytest.mark.parametrize("positions, weights", [
         ([0.0, 1.0], [0.5, math.nan]),
         ([0.0, math.nan], [0.5, 0.5]),
@@ -107,7 +87,7 @@ class TestConvolve:
 
     def test_delta_identity(self):
         d = K.product_bernoulli([SQRT2])
-        c = K.convolve(K.delta(0.0), d)
+        c = K.convolve(K.DiscreteDist(np.array([0.0]), np.array([1.0])), d)
         assert np.allclose(c.positions, d.positions)
         assert np.allclose(c.weights, d.weights)
 
@@ -250,7 +230,7 @@ class TestZnDist:
 
     def test_tail_mass_carried_through_convolution(self):
         # the union bound: a convolution omits at most the sum of what its
-        # inputs omit, a mixture the weighted sum
+        # inputs omit
         base = K.product_bernoulli([SQRT2])
         z = K.zn_dist(base, 256)
         assert z.tail_mass == 2 * K.TAIL_EPS
@@ -258,8 +238,6 @@ class TestZnDist:
         assert conv.tail_mass == 2 * K.TAIL_EPS
         assert K.kolmogorov_distance(conv, PhiFn()).error_bound \
             == 2 * K.TAIL_EPS
-        mixed = K.mixture([(0.5, z), (0.5, K.zn_dist(base, 64))])
-        assert mixed.tail_mass == K.TAIL_EPS
 
     def test_tail_mass_carried_through_powering(self):
         d = K.bernoulli_pm(1)
@@ -333,7 +311,7 @@ class TestZnDist:
 class TestMoments:
     def test_b1(self):
         m = K.moments(K.bernoulli_pm(1))
-        assert (m.sigma2, m.alpha3, m.beta3, m.beta4) == (1, 0, 1, 1)
+        assert (m.sigma2, m.alpha3, m.beta4) == (1, 0, 1)
 
     def test_product_formula(self):
         # sigma^2 = 1 + a^2, beta4 = 1 + 6a^2 + a^4
@@ -349,25 +327,6 @@ class TestMoments:
         assert abs(m.mean) < 1e-15
         assert abs(m.sigma2 - 2.0) < 1e-15
         assert abs(m.alpha3 - 2.0) < 1e-15
-
-    def test_lyapunov_ordering(self):
-        for base in (K.bernoulli_pm(1), K.product_bernoulli([SQRT2])):
-            m = K.moments(base, n=4)
-            assert m.lyapunov3 <= math.sqrt(m.lyapunov4) + 1e-12
-            assert m.beta4 >= m.sigma2 ** 2 - 1e-12
-
-
-class TestCdf:
-    def test_jump_semantics(self):
-        b = K.bernoulli_pm(1)
-        assert b.cdf(0.0) == 0.5
-        assert b.cdf(1.0) == 1.0
-        assert b.cdf_left(1.0) == 0.5
-        assert b.cdf(-2.0) == 0.0
-
-    def test_product_half_at_zero(self):
-        d = K.convolve(K.bernoulli_pm(1), K.bernoulli_pm(SQRT2))
-        assert d.cdf(0.0) == 0.5
 
 
 class TestKolmogorovDistance:
@@ -549,6 +508,26 @@ class TestStreamedScan:
             for x, _, _ in z.slabs():
                 assert x.size == 1
 
+    @pytest.mark.parametrize("text, n", [
+        ("prod:surd:0,1,1,2", 16),
+        ("prod:surd:0,1,1,3", 24),
+        ("mix:0.5:surd:0,1,1,2=0.5", 16),
+        ("prod:surd:0,1,1,2,surd:0,1,1,3", 6),
+    ])
+    def test_atoms_on_slab_edges(self, monkeypatch, text, n):
+        # an edge at every atom's approximate position: each atom's
+        # computed position may fall on either side of it, and only the
+        # run margin keeps such an atom in the runs of both slabs
+        def every_atom(start, pitch, size, cap):
+            return np.unique(np.add.outer(
+                start, pitch * (np.arange(size) - (size - 1) / 2)))
+
+        base = K.bernoulli_base(CharSpec.parse(text))
+        G = comparison_for("phi", base, n)
+        want = K.kolmogorov_distance(whole_grid(base.spec, n), G)
+        monkeypatch.setattr(K, "_slab_edges", every_atom)
+        assert K.kolmogorov_distance(K.zn_slabs(base, n), G) == want
+
     def test_scan_memory_is_set_by_the_slab_budget(self):
         # numpy's buffers are traced by tracemalloc; at n = 16384 the scan
         # holds one slab (SLAB_BYTES of working memory) and a tuple table
@@ -591,6 +570,19 @@ class TestStreamedScan:
         monkeypatch.setattr(K, "MEMORY_BUDGET", 8 * z.support.size ** 2)
         with pytest.raises(SupportOverflow, match=r"tuples would need \d+ B"):
             K.kolmogorov_distance(z, PhiFn())
+
+    def test_mixture_budget_before_rows(self, monkeypatch):
+        # the 3-part mixture at n = 4096 is over budget; that must be found
+        # before any of its n + 1 binomial k-rows is built
+        base = K.mixture_bernoulli([0.4, 0.3, 0.3],
+                                   [SQRT2, AlphaSpec.surd(0, 1, 1, 3)])
+
+        def no_rows(n):
+            raise AssertionError(f"built the {n}-row")
+
+        monkeypatch.setattr(K, "_binom_row", no_rows)
+        with pytest.raises(SupportOverflow, match=r"tuples would need \d+ B"):
+            K.kolmogorov_distance(K.zn_slabs(base, 4096), PhiFn())
 
     def test_tuple_table_over_budget(self):
         base = K.product_bernoulli(

@@ -41,8 +41,9 @@ class TestDeltaSweep:
             n = row.n
             z = K.zn_dist(base, n)
             want = (math.comb(n, n // 2) / 2 ** n) ** 2
-            assert z.cdf(0.0) - z.cdf_left(0.0) == pytest.approx(want,
-                                                                 rel=1e-12)
+            i = np.searchsorted(z.positions, 0.0)
+            assert z.positions[i] == 0.0
+            assert z.weights[i] == pytest.approx(want, rel=1e-12)
             assert row.delta_phi >= want / 2
 
     def test_phi3_column_for_asymmetric_base(self):
