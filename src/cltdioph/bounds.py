@@ -1,11 +1,11 @@
 """Berry-Esseen smoothing machinery with explicit term-by-term reports.
 
-Implements the generic smoothing inequality (integral of |f - g|/t up to a
-cutoff plus D/T), the fourth-moment bound splitting the right side into a
-moment term, a cutoff term, and a tail integral of |f(t)|^n / t, the
-power-law cutoff choice T_n = (bn)^(1/p) (log n)^(-r), and the reverse
-characteristic-function check that caps |f(t/sigma)|^n by a fitted
-constant times t n^(-1/p) (log(n+1))^(q+1/2).
+Implements the fourth-moment bound splitting the right side of the
+smoothing inequality into a moment term, a cutoff term, and a tail
+integral of |f(t)|^n / t, the power-law cutoff choice
+T_n = (bn)^(1/p) (log n)^(-r), and the reverse characteristic-function
+check that caps |f(t/sigma)|^n by a fitted constant times
+t n^(-1/p) (log(n+1))^(q+1/2).
 """
 
 from __future__ import annotations
@@ -22,15 +22,6 @@ from .edgeworth import cf_deviation_bound, comparison_for, fs_transform
 from .errors import InadmissibleT, QuadratureFailure
 
 _MAX_EVALS = 10 ** 6
-
-
-@dataclass(frozen=True)
-class SmoothingReport:
-    integral_term: float
-    dt_term: float
-    T: float
-    rhs_total: float
-    quadrature_error_estimate: float
 
 
 @dataclass(frozen=True)
@@ -59,47 +50,6 @@ class _CountingFn:
             raise QuadratureFailure(
                 f"exceeded {self.budget} integrand evaluations")
         return self.fn(t)
-
-
-def _panelized_quad(h: Callable[[float], float], lo: float, hi: float,
-                    breakpoints, epsabs: float) -> tuple[float, float]:
-    """Sum of adaptive panels split at the given interior breakpoints;
-    raises QuadratureFailure if the error estimate exceeds 1e-9 (1 + |sum|)."""
-    cuts = [lo] + [b for b in sorted(set(breakpoints)) if lo < b < hi] + [hi]
-    total = 0.0
-    err = 0.0
-    for a, b in zip(cuts, cuts[1:]):
-        v, e = quad(h, a, b, epsabs=epsabs / max(1, len(cuts) - 1),
-                    limit=200)
-        total += v
-        err += e
-    if err > 1e-9 * (1.0 + abs(total)):
-        raise QuadratureFailure(
-            f"error estimate {err} exceeds target for integral {total}")
-    return total, err
-
-
-def smoothing_rhs(f: Callable[[float], complex], g: Callable[[float], complex],
-                  T: float, D: float) -> SmoothingReport:
-    """Integral of |f(t) - g(t)|/t over (0, T] plus D/T.
-
-    The integrand is bounded at 0 because both transforms equal 1 there;
-    the first panel starts at a tiny positive offset where the integrand
-    is already smooth.
-    """
-    if T <= 0 or D <= 0:
-        raise ValueError("T and D must be positive")
-    counted_f = _CountingFn(f, _MAX_EVALS)
-    counted_g = _CountingFn(g, _MAX_EVALS)
-
-    def h(t: float) -> float:
-        if t == 0.0:
-            t = 1e-300
-        return abs(counted_f(t) - counted_g(t)) / t
-
-    integral, err = _panelized_quad(h, 0.0, T, (), 1e-10)
-    dt_term = D / T
-    return SmoothingReport(integral, dt_term, T, integral + dt_term, err)
 
 
 def lemma21_rhs(base: DiscreteDist, n: int, T: float) -> Lemma21Report:
@@ -132,8 +82,16 @@ def lemma21_rhs(base: DiscreteDist, n: int, T: float) -> Lemma21Report:
 
     ks = np.arange(max(1, math.floor(t_lo / math.pi)),
                    math.ceil(T / math.pi) + 1)
-    breaks = list(math.pi * ks)
-    tail, _ = _panelized_quad(integrand, t_lo, T, breaks, 1e-12)
+    cuts = [t_lo] + [b for b in math.pi * ks if t_lo < b < T] + [T]
+    tail = err = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        v, e = quad(integrand, a, b, epsabs=1e-12 / (len(cuts) - 1),
+                    limit=200)
+        tail += v
+        err += e
+    if err > 1e-9 * (1.0 + abs(tail)):
+        raise QuadratureFailure(
+            f"error estimate {err} exceeds target for integral {tail}")
 
     # a lattice base returns to |f| = 1 at every resonance, so the tail
     # integral keeps growing with T instead of decaying
@@ -156,8 +114,7 @@ def lemma21_rhs(base: DiscreteDist, n: int, T: float) -> Lemma21Report:
     )
 
 
-def prop22_cutoff(p: float, q: float, n: int,
-                  a_const: float) -> tuple[float, float, float]:
+def prop22_cutoff(p: float, q: float, n: int, a_const: float) -> float:
     """Cutoff T_n = (bn)^(1/p) (log n)^(-r) with r = (q+1)/p, b = a p^q / 3."""
     if p <= 0 or a_const <= 0:
         raise ValueError("p and a_const must be positive")
@@ -165,8 +122,7 @@ def prop22_cutoff(p: float, q: float, n: int,
         raise ValueError("n must be >= 3 so log n > 1")
     r = (q + 1.0) / p
     b = a_const * p ** q / 3.0
-    t_n = (b * n) ** (1.0 / p) * math.log(n) ** (-r)
-    return t_n, r, b
+    return (b * n) ** (1.0 / p) * math.log(n) ** (-r)
 
 
 @dataclass(frozen=True)
@@ -184,14 +140,15 @@ class Prop51Report:
     c_spread: float  # max/min of the fitted constants across n
 
 
-def prop51_check(base: DiscreteDist, n_list, p: float, q: float,
-                 t_grid=None) -> Prop51Report:
+def prop51_check(base: DiscreteDist, n_list, p: float,
+                 q: float) -> Prop51Report:
     """Chain check |f_n(t)| <= 1.3 e^(-t^2/8) + c |t| Delta_n log^(1/2)(e + 1/Delta_n).
 
     c is 24.2 in general and 16.02 when the base is symmetric (Delta_n
-    then taken against the plain normal CDF). For t >= sqrt(n) the
-    implied constant in |f(t/sigma)|^n <= c t n^(-1/p) (log(n+1))^(q+1/2)
-    is fitted per n with s = t/sqrt(n) as the rescaled abscissa. The
+    then taken against the plain normal CDF). Both are checked at 200
+    points t in [sqrt(n), 4 sqrt(n)], where the implied constant in
+    |f(t/sigma)|^n <= c t n^(-1/p) (log(n+1))^(q+1/2) is fitted per n
+    with s = t/sqrt(n) as the rescaled abscissa. The
     fitted constant divides the chain bound, not |f_n| itself: off
     resonance |f_n| is doubly exponentially small, so the raw ratio says
     nothing about the transfer constant, while the chain bound is the
@@ -204,22 +161,18 @@ def prop51_check(base: DiscreteDist, n_list, p: float, q: float,
     for n in n_list:
         z = zn_dist(base, n)
         delta = kolmogorov_distance(z, comparison_for(target, base, n)).delta
-        grid = t_grid if t_grid is not None \
-            else np.linspace(math.sqrt(n), 4.0 * math.sqrt(n), 200)
         violations = 0
         c_fit = 0.0
-        for t in grid:
+        for t in np.linspace(math.sqrt(n), 4.0 * math.sqrt(n), 200):
             t = float(t)
             fn = abs(fs_transform(z, t))
             bound = 1.3 * math.exp(-t * t / 8.0) \
                 + cf_deviation_bound(t, delta, symmetric)
             if fn > bound + 1e-12:
                 violations += 1
-            if t >= math.sqrt(n):
-                s = t / math.sqrt(n)
-                denom = s * n ** (-1.0 / p) \
-                    * math.log(n + 1.0) ** (q + 0.5)
-                c_fit = max(c_fit, bound / denom)
+            s = t / math.sqrt(n)
+            denom = s * n ** (-1.0 / p) * math.log(n + 1.0) ** (q + 0.5)
+            c_fit = max(c_fit, bound / denom)
         rows.append(Prop51Row(n=int(n), delta_n=delta,
                               violations=violations, c_fit=c_fit))
     fits = [r.c_fit for r in rows if r.c_fit > 0]

@@ -33,6 +33,9 @@ assert _BRACKET < math.pi / 2
 #: growth_fit builds its skip bound for this many candidates at a time
 _FLOOR_BLOCK = 1 << 16
 
+#: growth_fit fits the last this many records
+_N_PEAKS = 8
+
 _LONG = np.longdouble
 _TWO = _LONG(2.0)
 _BITS = 128  # mantissa width read by _alpha_longdouble
@@ -258,8 +261,9 @@ def _record_floor(spec: CharSpec, n_hi: int, n_lo: int = 1) -> np.ndarray:
     return -np.expm1(-top)
 
 
-def growth_fit(spec: CharSpec, t_max: float, n_peaks: int = 8) -> GrowthFit:
-    """Fit log(1/(1 - |f|)) against log t at record resonances of |f|.
+def growth_fit(spec: CharSpec, t_max: float) -> GrowthFit:
+    """Fit log(1/(1 - |f|)) against log t at the last ``_N_PEAKS`` record
+    resonances of |f|.
 
     Candidate peaks sit at multiples of pi: |f| is near 1 only where
     |cos t| is, for products and mixtures alike.  The retained sample is
@@ -282,14 +286,12 @@ def growth_fit(spec: CharSpec, t_max: float, n_peaks: int = 8) -> GrowthFit:
     """
     if t_max <= 10.0:
         raise ValueError("t_max must exceed 10")
-    if n_peaks < 8:
-        raise ValueError("n_peaks must be at least 8")
     if spec.weights is None and not spec.alphas:
         # pure cos(t): |f(pi n)| = 1 exactly, no growth law to fit
         return GrowthFit(math.nan, None, (), math.nan, degenerate=True)
 
     n_hi = int(t_max / math.pi)
-    if n_hi < n_peaks:
+    if n_hi < _N_PEAKS:
         raise InsufficientPeaks(
             f"only {n_hi} candidate peaks below t_max={t_max}")
     records: list[tuple[float, float]] = []
@@ -308,10 +310,10 @@ def growth_fit(spec: CharSpec, t_max: float, n_peaks: int = 8) -> GrowthFit:
             if t_peak >= 2.0 and one_minus < best:
                 best = one_minus
                 records.append((t_peak, one_minus))
-    if len(records) < n_peaks:
+    if len(records) < _N_PEAKS:
         raise InsufficientPeaks(
-            f"found {len(records)} record peaks, need {n_peaks}")
-    sample = tuple(records[-n_peaks:])
+            f"found {len(records)} record peaks, need {_N_PEAKS}")
+    sample = tuple(records[-_N_PEAKS:])
     ts = np.array([t for t, _ in sample])
     ys = np.log([1.0 / om for _, om in sample])
     logt = np.log(ts)

@@ -140,19 +140,17 @@ def cmd_disc(args) -> int:
 
 def cmd_cf(args) -> int:
     spec = CharSpec.parse(args.spec)
-    fit = charfn.growth_fit(spec, args.tmax, args.peaks)
+    fit = charfn.growth_fit(spec, args.tmax)
     if fit.degenerate:
         print("degenerate lattice: |f| returns to 1, no growth law")
         return EXIT_OK
     q_text = "not_identifiable" if fit.q_hat is None else _fmt(fit.q_hat)
     print(f"p_hat {_fmt(fit.p_hat)} q_hat {q_text} "
           f"residual {_fmt(fit.residual)} peaks {len(fit.sample)}")
-    rng = np.random.default_rng(args.seed)
-    failures = sum(
-        not charfn.ineq61_check(float(x)).passed
-        for x in rng.uniform(-10, 10, args.spot_checks))
+    xs = np.random.default_rng(0).uniform(-10, 10, 10 ** 4)
+    failures = sum(not charfn.ineq61_check(float(x)).passed for x in xs)
     print(f"cosine inequality spot suite: {failures} violations "
-          f"out of {args.spot_checks}")
+          f"out of {xs.size}")
     return EXIT_OK if failures == 0 else EXIT_INTERNAL
 
 
@@ -160,7 +158,7 @@ def cmd_bounds(args) -> int:
     base = bernoulli_base(CharSpec.parse(args.base))
     records = []
     for n in _n_list(args.n):
-        t_n, _, _ = bounds.prop22_cutoff(args.p, args.q, n, args.a_const)
+        t_n = bounds.prop22_cutoff(args.p, 0.0, n, args.a_const)
         rep = bounds.lemma21_rhs(base, n, max(t_n, 1.0))
         delta = kolmogorov_distance(zn_slabs(base, n),
                                     comparison_for("phi", base, n)).delta
@@ -213,16 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cf", help="characteristic-function growth fit")
     p.add_argument("--spec", required=True)
     p.add_argument("--tmax", type=float, default=1e4)
-    p.add_argument("--peaks", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--spot-checks", type=int, default=10 ** 4)
     p.set_defaults(func=cmd_cf)
 
     p = sub.add_parser("bounds", help="smoothing-bound sweep diagnostics")
     p.add_argument("--base", required=True)
     p.add_argument("--n", required=True, help="comma-separated n values")
     p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--q", type=float, default=0.0)
     p.add_argument("--a-const", type=float, default=1.0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bounds)

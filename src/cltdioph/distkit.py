@@ -490,8 +490,12 @@ class LatticeZn:
 
     def _collision(self) -> PrecisionExhausted:
         steps = ", ".join(["1"] + [a.text for a in self.spec.alphas])
+        # bernoulli_base builds the step distribution itself as Z_1
+        where = (f"steps {steps} already collide within one step"
+                 if self.n == 1
+                 else f"Z_n for n = {self.n} with steps {steps}")
         return PrecisionExhausted(
-            f"Z_n for n = {self.n} with steps {steps}: two atoms with "
+            f"{where}: two atoms with "
             "different lattice coordinates fall within double rounding of "
             "each other; the steps may be rationally dependent (not reduced "
             "yet) or too close to order in doubles")

@@ -226,39 +226,39 @@ class TestLemma61:
 
 class TestGrowthFit:
     def test_product_sqrt2(self):
-        fit = C.growth_fit(C.CharSpec.product([SQRT2]), 1e4, 8)
+        fit = C.growth_fit(C.CharSpec.product([SQRT2]), 1e4)
         assert not fit.degenerate
         assert 1.7 <= fit.p_hat <= 2.3
         assert fit.q_hat is not None
         assert len(fit.sample) == 8
 
     def test_mixture_parity(self):
-        p = C.growth_fit(C.CharSpec.product([SQRT2]), 1e4, 8).p_hat
-        m = C.growth_fit(C.CharSpec.mixture([0.5, 0.5], [SQRT2]), 1e4, 8).p_hat
+        p = C.growth_fit(C.CharSpec.product([SQRT2]), 1e4).p_hat
+        m = C.growth_fit(C.CharSpec.mixture([0.5, 0.5], [SQRT2]), 1e4).p_hat
         assert abs(p - m) < 0.3
 
     def test_mixture_uneven_weights_parity(self):
-        m = C.growth_fit(C.CharSpec.mixture([0.2, 0.8], [SQRT2]), 1e4, 8).p_hat
+        m = C.growth_fit(C.CharSpec.mixture([0.2, 0.8], [SQRT2]), 1e4).p_hat
         assert 1.7 <= m <= 2.3
 
     def test_mixture_scans_odd_multiples_of_pi(self):
         # at an odd multiple of pi cos t = -1, and |f| is near 1 where
         # cos(sqrt2 t) is near -1 as well: records at 29 pi and 169 pi
-        fit = C.growth_fit(C.CharSpec.mixture([0.5, 0.5], [SQRT2]), 1e4, 8)
+        fit = C.growth_fit(C.CharSpec.mixture([0.5, 0.5], [SQRT2]), 1e4)
         ks = {round(t / math.pi) for t, _ in fit.sample}
         assert {29, 169} <= ks
 
     def test_degenerate_pure_cosine(self):
-        fit = C.growth_fit(C.CharSpec.product([]), 1e3, 8)
+        fit = C.growth_fit(C.CharSpec.product([]), 1e3)
         assert fit.degenerate and math.isnan(fit.p_hat)
 
     def test_degenerate_rational(self):
         fit = C.growth_fit(C.CharSpec.product([AlphaSpec.rational(1, 2)]),
-                           1e3, 8)
+                           1e3)
         assert fit.degenerate
 
     def test_sample_on_lower_envelope(self):
-        fit = C.growth_fit(C.CharSpec.product([SQRT2]), 1e4, 8)
+        fit = C.growth_fit(C.CharSpec.product([SQRT2]), 1e4)
         oms = [om for _, om in fit.sample]
         assert all(a > b for a, b in zip(oms, oms[1:]))
 
@@ -266,19 +266,17 @@ class TestGrowthFit:
         # golden ratio: Fibonacci convergents are dense enough for eight
         # record peaks inside a range too short to identify the log power
         golden = AlphaSpec.surd(1, 1, 2, 5)
-        fit = C.growth_fit(C.CharSpec.product([golden]), 900.0, 8)
+        fit = C.growth_fit(C.CharSpec.product([golden]), 900.0)
         assert fit.q_hat is None
         assert 1.7 <= fit.p_hat <= 2.3
 
     def test_insufficient_peaks(self):
         with pytest.raises(InsufficientPeaks):
-            C.growth_fit(C.CharSpec.product([SQRT2]), 20.0, 8)
+            C.growth_fit(C.CharSpec.product([SQRT2]), 20.0)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            C.growth_fit(C.CharSpec.product([SQRT2]), 5.0, 8)
-        with pytest.raises(ValueError):
-            C.growth_fit(C.CharSpec.product([SQRT2]), 1e3, 4)
+            C.growth_fit(C.CharSpec.product([SQRT2]), 5.0)
 
 
 def _full_scan(monkeypatch, spec, t_max):
@@ -291,7 +289,7 @@ def _full_scan(monkeypatch, spec, t_max):
 
 def _fit_or_error(spec, t_max):
     try:
-        return C.growth_fit(spec, t_max, 8)
+        return C.growth_fit(spec, t_max)
     except InsufficientPeaks as exc:
         return repr(exc)
 
@@ -345,7 +343,7 @@ class TestRecordSkip:
             return refine(spec, center)
 
         monkeypatch.setattr(C, "_refine_peak", counted)
-        C.growth_fit(C.CharSpec.product([SQRT2]), 3e4, 8)
+        C.growth_fit(C.CharSpec.product([SQRT2]), 3e4)
         assert int(3e4 / math.pi) == 9549
         assert 0 < len(calls) < 95
 
@@ -355,9 +353,9 @@ class TestRecordSkip:
         parts = [C._record_floor(spec, min(lo + 999, 9549), lo)
                  for lo in range(1, 9550, 1000)]
         assert np.array_equal(np.concatenate(parts), whole)
-        fit = C.growth_fit(spec, 3e4, 8)
+        fit = C.growth_fit(spec, 3e4)
         monkeypatch.setattr(C, "_FLOOR_BLOCK", 1000)
-        assert C.growth_fit(spec, 3e4, 8) == fit
+        assert C.growth_fit(spec, 3e4) == fit
 
     def test_decimal_step_skips_like_its_value(self, monkeypatch):
         # a dec: step has fewer than 64 certified bits, but the floor reads
@@ -372,7 +370,7 @@ class TestRecordSkip:
             return refine(spec, center)
 
         monkeypatch.setattr(C, "_refine_peak", counted)
-        assert C.growth_fit(spec, 1e4, 8) == full
+        assert C.growth_fit(spec, 1e4) == full
         assert int(1e4 / math.pi) == 3183
         assert 0 < len(calls) < 32
 

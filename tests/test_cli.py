@@ -124,13 +124,18 @@ class TestDelta:
 
     def test_collision_names_n_and_steps(self, capsys):
         # 2 sqrt2 = sqrt8: the atoms that collide are the same point, so the
-        # error must not claim they are distinct
-        code, _, err = run(capsys, "delta", "--base",
-                           "prod:surd:0,1,1,2,surd:0,1,1,8", "--n", "64")
-        assert code == 3
-        assert err.startswith("resource error: Z_n for n = 64 with steps 1, "
-                              "surd:0,1,1,2, surd:0,1,1,8:")
-        assert "rationally dependent" in err and "distinct" not in err
+        # error must not claim they are distinct; steps that collide
+        # already in the base are named as such, not as Z_n for n = 1
+        for base, where in [
+                ("prod:surd:0,1,1,2,surd:0,1,1,8",
+                 "Z_n for n = 64 with steps 1, surd:0,1,1,2, surd:0,1,1,8"),
+                ("prod:surd:0,1,1,2,surd:0,1,1,2",
+                 "steps 1, surd:0,1,1,2, surd:0,1,1,2 already collide "
+                 "within one step")]:
+            code, _, err = run(capsys, "delta", "--base", base, "--n", "64")
+            assert code == 3
+            assert err.startswith(f"resource error: {where}:")
+            assert "rationally dependent" in err and "distinct" not in err
 
     def test_bad_flag_exit_code(self, capsys):
         assert run(capsys, "delta", "--nope")[0] == 2
@@ -238,7 +243,7 @@ class TestAvg:
 class TestCf:
     def test_growth_fit_and_spot_suite(self, capsys):
         code, out, _ = run(capsys, "cf", "--spec", "prod:surd:0,1,1,2",
-                           "--tmax", "1e4", "--spot-checks", "500")
+                           "--tmax", "1e4")
         assert code == 0
         assert out.startswith("p_hat ")
         assert 1.7 <= float(out.split()[1]) <= 2.3
@@ -246,7 +251,7 @@ class TestCf:
 
     def test_growth_fit_output_unchanged(self, capsys):
         code, out, _ = run(capsys, "cf", "--spec", "prod:surd:0,1,1,2",
-                           "--tmax", "3e4", "--spot-checks", "100")
+                           "--tmax", "3e4")
         assert code == 0
         assert out.splitlines()[0] == (
             "p_hat 1.9952381913845509 q_hat 0.0026067999712271511"
