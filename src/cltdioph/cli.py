@@ -9,7 +9,9 @@ config-hash header line and the delta JSON has the hash under "config".
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
+import gc
 import hashlib
 import json
 import sys
@@ -225,6 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # at exit, freeze the heap rather than collect it object by object;
+    # every file written here is closed by then, so no finalizer is lost
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

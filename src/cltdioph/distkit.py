@@ -8,10 +8,11 @@ coordinates against the coefficient vector (1, alpha_1, ..., alpha_m), so
 atoms that coincide merge exactly and distinct atoms cannot silently
 collide.  For these bases Z_n is a ``LatticeZn``: one lattice builder, on
 integer coordinates from exact binomial rows, for products, mixtures and
-rational step heights alike, that yields Z_n as sorted slabs in
-increasing position order.  ``kolmogorov_distance`` scans those slabs
-without ever holding Z_n whole; ``zn_dist`` concatenates them into a
-DiscreteDist, and every other base goes through convolution powers.  The
+rational step heights alike, that walks Z_n bucket by bucket and yields
+it as merged slabs in increasing position order, without sorting its
+atoms.  ``kolmogorov_distance`` scans those slabs without ever holding
+Z_n whole; ``zn_dist`` concatenates them into a DiscreteDist, and every
+other base goes through convolution powers.  The
 binomial rows are cut to a Hoeffding window, and a bound on the mass left
 out (``tail_mass``) is carried through convolutions to
 ``KolmogorovResult.error_bound``.
@@ -31,12 +32,13 @@ from .charfn import CharSpec
 from .dioph import AlphaSpec
 from .errors import PrecisionExhausted, SupportOverflow
 
-#: bytes that a convolution, a whole Z_n and the streamed scan's tuple
-#: table may take (desk-scale memory cap)
+#: bytes that a convolution, a whole Z_n and the streamed scan's tuples
+#: and slab may take (desk-scale memory cap)
 MEMORY_BUDGET = 1 << 30
 
-#: working bytes of one slab of the streamed scan, sized to stay in cache
-SLAB_BYTES = 1 << 22
+#: working bytes of one slab of the streamed scan, sized to stay in a
+#: core's L2 cache: about 6500 cells at two lattice coordinates
+SLAB_BYTES = 1 << 20
 
 #: probability mass a binomial row may leave out of its Hoeffding window
 TAIL_EPS = 2.0 ** -64
@@ -303,7 +305,7 @@ def zn_dist(base: DiscreteDist, n: int) -> DiscreteDist:
 
 class LatticeZn:
     """Z_n of Bernoulli steps, with positions multiplied by ``scale``, as
-    sorted slabs of atoms in increasing position order (``slabs``).
+    merged slabs of atoms in increasing position order (``slabs``).
 
     The weights live on the integer coordinates (c_0, ..., c_m) of the raw
     sum against (1, alpha_1, ..., alpha_m).  A product's grid is the outer
@@ -351,7 +353,6 @@ class LatticeZn:
         for k, j in enumerate(own, start=1):
             self.fold[j, k] = q
         self.alphas = tuple(spec.alphas[j - 1] for j in own)
-        self.folded = len(own) < m
         self.vals = np.array([1.0] + [a.to_float() for a in self.alphas])
         self.scale = scale / q
 
@@ -369,23 +370,33 @@ class LatticeZn:
 
     def slabs(self):
         """Yield Z_n as (positions, weights, lattice coordinates) slabs,
-        each sorted and merged, in increasing position order.
+        each merged, in increasing position order, without sorting atoms.
 
-        Both forms stream the last raw coordinate c_m over ``support``: a
-        table holds, for every tuple (c_0, ..., c_m-1) in C order, its
-        lattice coordinates at c_m = 0.  The form decides only the weight
-        at (tuple, c_m): for a product, the tuple's row product times
-        row[c_m]; for a mixture, the cell of its weight grid.  The
-        position axis is cut at ``_slab_edges`` into slabs of at most
-        about ``SLAB_BYTES`` of working memory, and at least 4 atoms per
-        tuple.  Position is monotone in c_m, so the atoms of a tuple that
-        fall in a slab are one run of ``support``, found from the tuple's
-        approximate position and widened by a margin; each atom then goes
-        to the slab that holds its computed position.  Gathered tuple by
-        tuple, a slab's atoms are in the grid's C order, and each weight
-        is the grid's, so sorting and merging slab by slab gives the
-        atoms, bits and order, of sorting the whole grid.  Cells of weight
-        0.0 (unreachable or underflowed) are dropped.  The near-collision
+        The walk streams the raw coordinate c_s whose coefficient
+        fold[s] @ (1, alphas) is largest in size; the L^m tuples of the
+        other raw coordinates (L = ``support.size``) each hold their
+        lattice coordinates at c_s = 0.  A product's c_s steps by gap 2
+        over the n-row's window, and the weight at (tuple, c_s) is the
+        product of the rows in raw coordinate order; a mixture's c_s steps
+        by gap 1 over ±E, and the weight is the cell of its weight grid.
+        Taken in the direction of increasing position, the atoms of one
+        tuple lie on a progression of pitch p = gap |fold[s] @ (1, alphas)|,
+        the structure behind the three-distance theorem.  Write a tuple's
+        offset in units of p as q + phi, with q an integer bucket and phi
+        in [0, 1): its j-th atom then lies in bucket q + j.  For a rational
+        stream, q and phi come from an exact integer divmod of the unit
+        coordinate by p, so tuples whose atoms coincide get bit-equal
+        phases.  The tuples are sorted once, by (phi, coordinates before s,
+        c_s, coordinates after s).  Walking the buckets upward and, inside
+        each, the tuples in that order visits every atom in position order,
+        and coinciding atoms in the grid's C order, so each merge adds
+        their weights as a stable sort of the whole grid would.  A slab is
+        a run of whole buckets of about ``SLAB_BYTES`` of working memory,
+        at least one bucket.  Cells of weight 0.0 (unreachable or
+        underflowed) are dropped.  A computed position that decreases along
+        the walk is two distinct atoms within rounding of each other (with
+        the unit coordinate alone the walk is exact), a negative gap that
+        the merge's near-collision test refuses, as sorting would.  That
         test uses max |position| over the grid, taken at its corners, and
         also compares the atoms on either side of each slab edge.
         """
@@ -393,14 +404,19 @@ class LatticeZn:
         m, size, e = len(self.spec.alphas), support.size, int(support[-1])
         tuples = size ** m
         product = self.spec.weights is None
-        # the tuple table, and a mixture's weight grid at 8 B a cell
-        self._budget("tuples", tuples,
-                     8 * width + 64 + (0 if product else 8 * size))
+        # the charge, as tracemalloc measures it where every cell is an
+        # atom: the tuple arrays while they are built and sorted, 24w + 96
+        # B a tuple, a mixture's weight grid at 8 B a cell, and one slab,
+        # 32w + 96 B a (bucket, tuple) cell.  A slab holds about SLAB_BYTES
+        # of cells, but at least one bucket and at most every bucket the
+        # walk can span: m (L - 1) + 1 tuple offsets plus L atoms
+        cell_bytes = 32 * width + 96
+        per = min(max(1, round(SLAB_BYTES / cell_bytes / tuples)),
+                  (m + 1) * size)
+        self._budget("tuples", tuples, 24 * width + 96 + per * cell_bytes
+                     + (0 if product else 8 * size))
         if product:
             row, gap = self.row, 2
-            table = np.ones(1)
-            for _ in range(m):
-                table = np.multiply.outer(table, row)
         else:
             # mixture weights over a common denominator: normalized
             # exactly, although the floats p_j need not add up to exactly 1
@@ -409,7 +425,7 @@ class LatticeZn:
             ints = [int(Fraction(p) * common) for p in self.spec.weights]
             total = sum(ints) ** self.n
             rows = [_binom_row(k)[0] for k in range(self.n + 1)]
-            table, gap = np.zeros((size,) * (m + 1)), 1
+            grid, gap = np.zeros((size,) * (m + 1)), 1
             for counts, weight in _multinomials(self.n, ints):
                 block = weight / total
                 cells = []
@@ -417,76 +433,86 @@ class LatticeZn:
                     block = np.multiply.outer(block, rows[k])
                     edge = rows[k].size - 1
                     cells.append(slice(e - edge, e + edge + 1, 2))
-                table[tuple(cells)] += block
-        table = table.ravel()
+                grid[tuple(cells)] += block
+            grid = grid.ravel()
+        coef = self.fold @ self.vals
+        s = int(np.argmax(np.abs(coef)))
+        up = coef[s] > 0
+        # the one lattice coordinate that c_s moves: 0 for a rational step
+        ks = int(np.flatnonzero(self.fold[s])[0])
+        # the tuples in C order over the raw coordinates other than c_s;
+        # a product's row factors before c_s are multiplied out, those
+        # after it stay apart, and a mixture keeps its grid index
         at = np.arange(tuples)
         base = np.zeros((tuples, width), dtype=np.int64)
-        for k in range(m):
-            c_k = support[at // size ** (m - 1 - k) % size]
-            base += c_k[:, None] * self.fold[k]
-        step = self.fold[m]
-        start = (base @ self.vals) * self.scale
-        slope = float(step @ self.vals) * self.scale
+        pre, post, cell = np.ones(tuples), [], np.zeros(tuples, dtype=np.int64)
+        for p, k in enumerate(k for k in range(m + 1) if k != s):
+            i = at // size ** (m - 1 - p) % size
+            base += support[i][:, None] * self.fold[k]
+            if not product:
+                cell += i * size ** (m - k)
+            elif k < s:
+                pre = pre * row[i]
+            else:
+                post.append(row[i])
+        # each tuple's offset q0 + u in units of the pitch; a rational
+        # stream takes q0 and the unit coordinate's share of u exactly
+        if ks:
+            q0, rem = 0, base[:, 0]
+        else:
+            q0, rem = np.divmod(base[:, 0], gap * abs(int(self.fold[s, 0])))
+        u = (rem + base[:, 1:] @ self.vals[1:]) / (gap * abs(coef[s]))
+        floor = np.floor(u)
+        q = q0 + floor.astype(np.int64)
+        # by phase, coordinates before c_s, c_s (j = bucket - q), and by
+        # the stable sort, coordinates after c_s
+        order = np.lexsort((-q if up else q, at // size ** (m - s),
+                            u - floor))
+        q, base = q[order], np.take(base, order, axis=0)
+        pre, cell, post = pre[order], cell[order], [f[order] for f in post]
+        del at, q0, rem, u, floor, order
+        stride = size ** (m - s)
         corners = np.array(list(itertools.product((-e, e), repeat=m + 1)))
         spread = max(1.0, float(np.max(np.abs(
             ((corners @ self.fold) @ self.vals) * self.scale))))
-        cap = max(SLAB_BYTES // _slab_atom_bytes(width), 4 * tuples)
-        edges = _slab_edges(start, gap * slope, size, cap)
-        cuts = np.concatenate(([-np.inf], edges, [np.inf]))
-        margin = spread * 2.0 ** -40
-        last, placed = -np.inf, 0
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            if edges.size:
-                ends = (np.array([[lo - margin], [hi + margin]]) - start) \
-                    / slope
-                first = np.clip(np.ceil((ends.min(axis=0) + e) / gap), 0,
-                                size).astype(np.int64)
-                stop = np.clip(np.floor((ends.max(axis=0) + e) / gap) + 1,
-                               first, size).astype(np.int64)
-                runs = stop - first
-                tj = np.repeat(at, runs)
-                cj = np.arange(tj.size) \
-                    - np.repeat(np.cumsum(runs) - runs - first, runs)
-                w = np.take(table, tj) * np.take(row, cj) if product \
-                    else np.take(table, tj * size + cj)
-                # np.take: fancy indexing of 2-d rows is several times slower
-                coords, c_m = np.take(base, tj, axis=0), np.take(support, cj)
-            else:  # one slab: the whole grid
-                w = np.multiply.outer(table, row).ravel() if product \
-                    else table
-                coords = np.repeat(base, size, axis=0)
-                c_m = np.tile(support, tuples)
-            for k in np.flatnonzero(step):
-                coords[:, k] += c_m * step[k]
-            x = (coords @ self.vals) * self.scale
-            inside = (x >= lo) & (x < hi)
-            placed += np.count_nonzero(inside)
-            keep = np.flatnonzero(inside & (w > 0.0))
-            if keep.size < x.size:
-                x, w, coords = x[keep], w[keep], np.take(coords, keep, axis=0)
-            x, w, coords = self._sort_merge(x, w, coords, spread)
-            if x.size == 0:
+        last, visited = -np.inf, 0
+        first, stop = int(q.min()), int(q.max()) + size
+        for b in range(first, stop, per):
+            j = np.subtract.outer(np.arange(b, min(b + per, stop)), q).ravel()
+            t = np.flatnonzero((j >= 0) & (j < size))
+            visited += t.size
+            j = np.take(j, t)
+            t %= tuples
+            if not up:
+                j = size - 1 - j
+            w = np.take(pre, t) * np.take(row, j) if product \
+                else np.take(grid, np.take(cell, t) + j * stride)
+            for f in post:
+                w *= np.take(f, t)
+            keep = np.flatnonzero(w > 0.0)
+            if keep.size < w.size:
+                t, j, w = t[keep], j[keep], w[keep]
+            if w.size == 0:
                 continue
+            # np.take: fancy indexing of 2-d rows is several times slower
+            coords = np.take(base, t, axis=0)
+            coords[:, ks] += np.take(support, j) * self.fold[s, ks]
+            # BLAS takes one row through ddot, which rounds differently
+            # from the gemv that every longer slab goes through
+            x = (coords @ self.vals if t.size > 1
+                 else (np.repeat(coords, 2, axis=0) @ self.vals)[:1]) \
+                * self.scale
+            try:
+                x, w, coords = _merge_atoms(x, w, coords, spread)
+            except PrecisionExhausted:
+                raise self._collision() from None
             if width > 1 and x[0] - last <= _MERGE_TOL * spread:
                 raise self._collision()
             last = x[-1]
             yield x, w, coords
-        if placed != tuples * size:
-            raise RuntimeError(f"slabs placed {placed} of {tuples * size} "
-                               "atoms")
-
-    def _sort_merge(self, x, w, coords, spread):
-        """Sort atoms by position and merge those with equal coordinates.
-        Equal coordinates come only from folded rational steps, and then
-        the sort is stable, so merged weights add up in grid order; with
-        distinct coordinates a tie in position is a collision, which
-        raises, so any sort gives the same atoms."""
-        order = np.argsort(x, kind="stable" if self.folded else "quicksort")
-        try:
-            return _merge_atoms(x[order], w[order],
-                                np.take(coords, order, axis=0), spread)
-        except PrecisionExhausted:
-            raise self._collision() from None
+        if visited != tuples * size:
+            raise RuntimeError(f"the walk visited {visited} of "
+                               f"{tuples * size} cells")
 
     def _collision(self) -> PrecisionExhausted:
         steps = ", ".join(["1"] + [a.text for a in self.spec.alphas])
@@ -504,39 +530,6 @@ class LatticeZn:
         _over_budget(f"Z_n for n = {self.n}, m = {len(self.spec.alphas)}: "
                      f"row window {self.support.size}, {count} {what} would",
                      count * each)
-
-
-def _slab_atom_bytes(width: int) -> int:
-    """Working bytes per atom of one slab, ``width`` lattice coordinates:
-    gather indices, coordinates, positions, weights, the sort, the float128
-    running sum and G."""
-    return 96 + 24 * width
-
-
-def _slab_edges(start: np.ndarray, pitch: float, size: int, cap: int):
-    """Positions that cut the atoms start_j + pitch * (i - (size - 1) / 2),
-    i = 0, ..., size - 1, into slabs of about equal count, at most about
-    ``cap`` each.
-
-    Within one atom per tuple, the number of atoms below x is
-    sum_j clip((x - start_j + h) / |pitch|, 0, size) with
-    h = |pitch| size / 2: each row is ``size`` atoms spaced |pitch| apart.
-    The sum is read off the sorted start_j and their prefix sums on a grid
-    of x and inverted by interpolation.
-    """
-    total = start.size * size
-    slabs = -(-total // cap)
-    if slabs <= 1 or pitch == 0.0:
-        return np.empty(0)
-    start = np.sort(start)
-    sums = np.concatenate(([0.0], np.cumsum(start)))
-    h = abs(pitch) * size / 2
-    x = np.linspace(start[0] - h, start[-1] + h, 32 * slabs + 1)
-    lo = np.searchsorted(start, x - h)
-    hi = np.searchsorted(start, x + h)
-    below = size * lo + ((x + h) * (hi - lo) - (sums[hi] - sums[lo])) \
-        / abs(pitch)
-    return np.interp(total * np.arange(1, slabs) / slabs, below, x)
 
 
 def _compositions(n: int, parts: int):

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -121,6 +123,17 @@ class TestDelta:
         code, _, err = run(capsys, "delta", "--base", base, "--n", "4096")
         assert code == 3
         assert err.startswith("resource error:") and err.count("\n") == 1
+
+    def test_three_steps_over_budget_exit_at_once(self, capsys):
+        # 215^3 tuples: their arrays and one slab are over MEMORY_BUDGET,
+        # which must be seen before any of them is built
+        start = time.perf_counter()
+        code, _, err = run(capsys, "delta", "--base",
+                           "prod:surd:0,1,1,2,surd:0,1,1,3,surd:0,1,1,5",
+                           "--n", "512")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert re.search(r"tuples would need \d+ B", err)
 
     def test_collision_names_n_and_steps(self, capsys):
         # 2 sqrt2 = sqrt8: the atoms that collide are the same point, so the
@@ -277,6 +290,21 @@ def test_delta_does_not_import_mpmath():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("64 ")
+
+
+def test_exit_hook_registered_once():
+    # main freezes the heap at exit; calling it twice registers that once
+    code = ("import gc\n"
+            "from cltdioph import cli\n"
+            "gc.freeze = lambda: print('frozen')\n"
+            "cli.main(['delta', '--nope'])\n"
+            "cli.main(['delta', '--nope'])\n")
+    src = str(Path(cltdioph.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "frozen\n"
 
 
 def test_import_starts_no_pool_machinery():

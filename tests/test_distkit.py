@@ -1,9 +1,12 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr
 
 from cltdioph import distkit as K
@@ -431,10 +434,27 @@ def whole_grid(spec, n):
     return z
 
 
+def charged(z):
+    """The bytes MEMORY_BUDGET charges for scanning z, as the error of a
+    budget of 0 B names them."""
+    with mock.patch.object(K, "MEMORY_BUDGET", 0):
+        with pytest.raises(SupportOverflow) as err:
+            next(z.slabs())
+    return int(re.search(r"would need (\d+) B", str(err.value)).group(1))
+
+
+def _or_collision(build):
+    """build(), or None if it refuses a collision."""
+    try:
+        return build()
+    except PrecisionExhausted:
+        return None
+
+
 class TestStreamedScan:
     """Delta_n from the slabs of Z_n equals Delta_n of the whole Z_n."""
 
-    SMALL = 1 << 12  # a slab budget that cuts every case below into many
+    SMALL = 1 << 16  # a slab budget of a few buckets at m = 1, one at m >= 2
 
     @pytest.mark.parametrize("text, n", [
         ("prod:surd:0,1,1,2", 300),
@@ -445,6 +465,11 @@ class TestStreamedScan:
         ("mix:0.5:surd:0,1,1,2=0.5", 256),    # than the n-row
         ("mix:0.5:rat:1/3=0.25,surd:0,1,1,2=0.25", 64),  # folds and merges
         ("mix:0.2:surd:0,1,1,2=0.3,surd:0,1,1,5=0.5", 40),
+        ("prod:rat:1/3,rat:1/5", 100),        # >= 3-way merges, no irrational
+        ("prod:rat:-2/7", 200),               # a rational stream, downward
+        ("prod:surd:0,-1,1,2", 200),          # an irrational stream, downward
+        ("prod:surd:0,1,10,2", 300),          # 0.14: the unit coordinate streams
+        ("prod:surd:0,1,1,2,surd:0,1,1,3,surd:0,1,1,5", 16),
     ])
     @pytest.mark.parametrize("skewed", [False, True])
     def test_many_slabs_bit_identical(self, monkeypatch, text, n, skewed):
@@ -470,43 +495,64 @@ class TestStreamedScan:
         assert np.array_equal(glued.weights, whole.weights)
         assert np.array_equal(glued.lattice.coords, whole.lattice.coords)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(
+        st.builds("surd:{},{},{},{}".format, st.integers(-2, 2),
+                  st.integers(-3, 3).filter(bool), st.integers(1, 5),
+                  st.sampled_from([2, 3, 5, 6, 7, 8])),
+        st.builds("rat:{}/{}".format, st.integers(-5, 5).filter(bool),
+                  st.integers(1, 7)),
+        st.builds("cf:0;{},periodic:{}".format, st.integers(1, 9),
+                  st.integers(1, 9))), min_size=1, max_size=3),
+        st.integers(1, 30), st.sampled_from([1, 1 << 12, 1 << 16]))
+    def test_walk_equals_whole_grid(self, steps, n, slab_bytes):
+        # the concatenated slabs are the whole grid's sorted and merged
+        # arrays, bit for bit, or both refuse a collision
+        spec = CharSpec.parse("prod:" + ",".join(steps))
+        n = min(n, (30, 16, 8)[len(steps) - 1])
+
+        def walk():
+            with mock.patch.object(K, "SLAB_BYTES", slab_bytes):
+                z = K.zn_slabs(K.bernoulli_base(spec), n)
+                return [np.concatenate(a) for a in zip(*z.slabs())]
+
+        def whole():
+            z = whole_grid(spec, n)
+            return [z.positions, z.weights, z.lattice.coords]
+
+        got, want = (_or_collision(f) for f in (walk, whole))
+        if want is None:
+            assert got is None
+        else:
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
     def test_collision_straddling_a_slab_edge(self, monkeypatch):
         # sqrt 8 = 2 sqrt 2: distinct coordinate tuples at one point, whose
-        # computed positions can differ by an ulp; put a slab edge between
-        # such a pair of atoms
+        # computed positions can differ by an ulp; with one bucket per slab
+        # such a pair shares a bucket or straddles a slab edge
+        monkeypatch.setattr(K, "SLAB_BYTES", 1)
         for text in ("prod:surd:0,1,1,2,surd:0,1,1,8",
                      "mix:0.5:surd:0,1,1,2=0.25,surd:0,1,1,8=0.25"):
-            spec = CharSpec.parse(text)
-            x, w, _ = grid_atoms(spec, 64)
-            x = np.sort(x[w > 0.0])
-            gap = np.diff(x)
-            i = np.flatnonzero((gap > 0)
-                               & (gap <= 1e-12 * np.max(np.abs(x))))[0]
-            monkeypatch.setattr(K, "_slab_edges",
-                                lambda *args: np.array([x[i + 1]]))
-            z = K.zn_slabs(K.bernoulli_base(spec), 64)
+            z = K.zn_slabs(K.bernoulli_base(CharSpec.parse(text)), 64)
             with pytest.raises(PrecisionExhausted):
                 K.kolmogorov_distance(z, PhiFn())
 
     def test_collision_test_crosses_every_edge(self, monkeypatch):
         # neighbouring atoms 1/q apart in the unit coordinate collide at
-        # double precision; with one atom per slab only the comparison
-        # across slab edges can see it
+        # double precision.  At c_0 = 0 their tuple offsets straddle 0, so
+        # with one bucket per slab a colliding pair lies on either side of
+        # a slab edge; with the merge inside each slab switched off, only
+        # the comparison across slab edges can see it
         base = K.bernoulli_base(
             CharSpec.parse("prod:rat:1/100000000003,surd:0,1,1,2"))
         with pytest.raises(PrecisionExhausted):
             K.zn_dist(base, 16)
-
-        def every_gap(start, pitch, size, cap):
-            x = np.unique(np.add.outer(
-                start, pitch * (np.arange(size) - (size - 1) / 2)))
-            return (x[1:] + x[:-1]) / 2
-
-        monkeypatch.setattr(K, "_slab_edges", every_gap)
-        z = K.zn_slabs(base, 16)
+        monkeypatch.setattr(K, "SLAB_BYTES", 1)
+        monkeypatch.setattr(K, "_merge_atoms", lambda x, w, c, spread:
+                            (x, w, c))
         with pytest.raises(PrecisionExhausted):
-            for x, _, _ in z.slabs():
-                assert x.size == 1
+            for _ in K.zn_slabs(base, 16).slabs():
+                pass
 
     @pytest.mark.parametrize("text, n", [
         ("prod:surd:0,1,1,2", 16),
@@ -515,53 +561,89 @@ class TestStreamedScan:
         ("prod:surd:0,1,1,2,surd:0,1,1,3", 6),
     ])
     def test_atoms_on_slab_edges(self, monkeypatch, text, n):
-        # an edge at every atom's approximate position: each atom's
-        # computed position may fall on either side of it, and only the
-        # run margin keeps such an atom in the runs of both slabs
-        def every_atom(start, pitch, size, cap):
-            return np.unique(np.add.outer(
-                start, pitch * (np.arange(size) - (size - 1) / 2)))
-
+        # one bucket per slab: every slab edge sits between two buckets
         base = K.bernoulli_base(CharSpec.parse(text))
         G = comparison_for("phi", base, n)
         want = K.kolmogorov_distance(whole_grid(base.spec, n), G)
-        monkeypatch.setattr(K, "_slab_edges", every_atom)
-        assert K.kolmogorov_distance(K.zn_slabs(base, n), G) == want
+        monkeypatch.setattr(K, "SLAB_BYTES", 1)
+        z = K.zn_slabs(base, n)
+        assert sum(1 for _ in z.slabs()) >= 10
+        assert K.kolmogorov_distance(z, G) == want
+
+    def test_scan_sorts_no_atoms(self, monkeypatch):
+        # only the L^m tuples are sorted, once; the walk hands the atoms
+        # over in position order
+        base = K.product_bernoulli([SQRT2])
+        n = 4096
+        G = comparison_for("phi", base, n)
+        seen = []
+        for name in ("argsort", "sort", "lexsort"):
+            def counted(a, *args, real=getattr(np, name), **kwargs):
+                seen.append(np.shape(a)[-1])
+                return real(a, *args, **kwargs)
+            monkeypatch.setattr(np, name, counted)
+        K.kolmogorov_distance(K.zn_slabs(base, n), G)
+        assert seen and max(seen) <= K.zn_slabs(base, n).support.size
 
     def test_scan_memory_is_set_by_the_slab_budget(self):
         # numpy's buffers are traced by tracemalloc; at n = 16384 the scan
-        # holds one slab (SLAB_BYTES of working memory) and a tuple table
-        # of about 1200 rows, Z_n whole is 1.5M atoms
+        # holds the walk's 1215 tuples and one slab of about SLAB_BYTES,
+        # Z_n whole is 1.5M atoms
         base = K.product_bernoulli([SQRT2])
         n = 16384
-        bound = 2 * K.SLAB_BYTES
+        z = K.zn_slabs(base, n)
         tracemalloc.start()
         try:
-            K.kolmogorov_distance(K.zn_slabs(base, n), PhiFn())
+            K.kolmogorov_distance(z, PhiFn())
             scan_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            z = K.zn_dist(base, n)
+            whole = K.zn_dist(base, n)
             whole_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(z) > 10 ** 6
-        assert scan_peak < bound < whole_peak
+        assert len(whole) > 10 ** 6
+        assert scan_peak < charged(z) < whole_peak
 
-    def test_mixture_scan_memory_is_set_by_its_window(self):
-        # a mixture's scan holds its weight grid on the widest window of
-        # its k-rows, (2E + 1)^2 cells at n = 1024, and one slab; the grid
-        # of every raw coordinate pair would be 2049^2 cells
-        base = K.mixture_bernoulli([0.5, 0.5], [SQRT2])
-        n = 1024
-        e = max(int(K._binom_row(k)[1][-1]) for k in range(n + 1))
-        bound = 8 * (2 * e + 1) ** 2 + 2 * K.SLAB_BYTES
+    @pytest.mark.parametrize("text, n", [
+        ("prod:surd:0,1,1,2", 4096),
+        ("prod:surd:0,1,10,2", 4096),        # every cell of a bucket is an atom
+        ("prod:surd:0,1,1,2,surd:0,1,1,3", 256),
+        ("prod:surd:0,1,10,2,surd:0,1,10,3", 256),
+        ("prod:rat:1/3,surd:0,1,1,2", 256),
+        ("prod:surd:0,1,1,2,surd:0,1,1,3,surd:0,1,1,5", 40),
+        ("prod:surd:0,1,10,2,surd:0,1,10,3,surd:0,1,10,5", 40),
+    ])
+    def test_scan_stays_within_its_charge(self, text, n):
+        # MEMORY_BUDGET charges the tuple arrays and one slab, so any input
+        # that passes it fits
+        base = K.bernoulli_base(CharSpec.parse(text))
+        z = K.zn_slabs(base, n)
+        G = comparison_for("phi", base, n)
         tracemalloc.start()
         try:
-            K.kolmogorov_distance(K.zn_slabs(base, n), PhiFn())
+            K.kolmogorov_distance(z, G)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bound
+        assert peak < charged(z)
+
+    def test_mixture_scan_memory_is_set_by_its_window(self):
+        # a mixture's scan holds its k-rows and what the walk is charged:
+        # its weight grid on the widest window of its k-rows, (2E + 1)^2
+        # cells at n = 1024, the tuples and one slab; the grid of every
+        # raw coordinate pair would be 2049^2 cells
+        base = K.mixture_bernoulli([0.5, 0.5], [SQRT2])
+        n = 1024
+        z = K.zn_slabs(base, n)
+        rows = sum(K._binom_row(k)[0].nbytes for k in range(n + 1))
+        bound = charged(z) + rows
+        tracemalloc.start()
+        try:
+            K.kolmogorov_distance(z, PhiFn())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound < 8 * (2 * n + 1) ** 2
 
     def test_mixture_weight_grid_is_charged(self, monkeypatch):
         # the budget holds the weight grid at 8 B a cell, but not the grid
