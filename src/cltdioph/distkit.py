@@ -3,26 +3,25 @@
 A DiscreteDist is an immutable sorted atom/weight table.  A product or
 mixture of symmetric Bernoulli steps is described by one ``CharSpec``, the
 same description its characteristic function is evaluated from;
-``bernoulli_base(spec)`` turns it into a base with a lattice tag: integer
-coordinates against the coefficient vector (1, alpha_1, ..., alpha_m), so
-atoms that coincide merge exactly and distinct atoms cannot silently
-collide.  For these bases Z_n is a ``LatticeZn``: one lattice builder, on
-integer coordinates from exact binomial rows, for products, mixtures and
-rational step heights alike, that walks Z_n bucket by bucket and yields
-it as merged slabs in increasing position order, without sorting its
-atoms.  ``kolmogorov_distance`` scans those slabs without ever holding
-Z_n whole; ``zn_dist`` concatenates them into a DiscreteDist, and every
-other base goes through convolution powers.  The
-binomial rows are cut to a Hoeffding window, and a bound on the mass left
-out (``tail_mass``) is carried through convolutions to
-``KolmogorovResult.error_bound``.
+``bernoulli_base(spec)`` turns it into a base that keeps the spec.  For
+these bases Z_n is a ``LatticeZn``: one lattice builder, on integer
+coordinates against (1, alpha_1, ..., alpha_m) from exact binomial rows,
+for products, mixtures and rational step heights alike, that walks Z_n
+bucket by bucket and yields it as slabs in increasing position order,
+without sorting its atoms.  The coordinates live only there: atoms merge
+where they are made (``_merge_atoms``), so atoms that coincide merge
+exactly and distinct atoms cannot silently collide.
+``kolmogorov_distance`` scans the slabs without ever holding Z_n whole;
+``zn_dist`` concatenates them into a DiscreteDist, and every other base
+goes through convolution powers.  The binomial rows are cut to a
+Hoeffding window, and a bound on the mass left out (``tail_mass``) is
+carried through convolutions to ``KolmogorovResult.error_bound``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -48,8 +47,8 @@ _MERGE_TOL = 1e-12
 
 
 def _atom_bytes(width: int) -> int:
-    """Bytes a DiscreteDist keeps per atom with ``width`` integer
-    coordinates: position, weight, cumulative weight and coordinates."""
+    """Bytes per atom of a DiscreteDist (position, weight, cumulative
+    weight) and of the ``width`` integer coordinates that built it."""
     return 24 + 8 * width
 
 
@@ -59,26 +58,8 @@ def _over_budget(what: str, need: int) -> None:
                               f"{MEMORY_BUDGET} B memory budget")
 
 
-@dataclass(frozen=True)
-class LatticeTag:
-    """Integer coordinates over the coefficient vector (1, alpha_1..alpha_m)."""
-
-    alphas: tuple[AlphaSpec, ...]
-    coords: np.ndarray  # shape (n_atoms, m + 1), int64
-    scale: float = 1.0  # position = (coords @ (1, alphas)) * scale
-
-    @property
-    def m(self) -> int:
-        return len(self.alphas)
-
-    def compatible(self, other: "LatticeTag") -> bool:
-        return (self.scale == other.scale
-                and len(self.alphas) == len(other.alphas)
-                and all(a.text == b.text for a, b in zip(self.alphas, other.alphas)))
-
-
 class DiscreteDist:
-    """Sorted finitely supported probability measure."""
+    """Sorted finitely supported probability measure; equal positions merge."""
 
     #: the steps a base was built from (set by bernoulli_base), for zn_dist
     spec: Optional[CharSpec] = None
@@ -87,8 +68,7 @@ class DiscreteDist:
     #: convolve; 0.0 for every other constructor
     tail_mass: float = 0.0
 
-    def __init__(self, positions: np.ndarray, weights: np.ndarray,
-                 lattice: Optional[LatticeTag] = None):
+    def __init__(self, positions: np.ndarray, weights: np.ndarray):
         positions = np.asarray(positions, dtype=np.float64)
         weights = np.asarray(weights, dtype=np.float64)
         if positions.ndim != 1 or positions.shape != weights.shape:
@@ -98,27 +78,13 @@ class DiscreteDist:
         if not (np.all(np.isfinite(positions)) and np.all(weights >= 0)):
             raise ValueError("positions must be finite and weights "
                              "nonnegative")
-        if np.any(weights == 0.0):
-            # drop atoms whose weight underflowed to an exact zero
-            keep = weights > 0.0
-            positions, weights = positions[keep], weights[keep]
-            if lattice is not None:
-                lattice = LatticeTag(lattice.alphas, lattice.coords[keep],
-                                     lattice.scale)
-        order = np.argsort(positions, kind="stable")
-        coords = None if lattice is None \
-            else np.take(lattice.coords, order, axis=0)
-        positions, weights, coords = _merge_atoms(
-            positions[order], weights[order], coords,
-            max(1.0, float(np.max(np.abs(positions), initial=0.0))))
-        if lattice is not None:
-            lattice = LatticeTag(lattice.alphas, coords, lattice.scale)
+        positions, weights, _ = _merge_atoms(
+            *_drop_zeros_and_sort(positions, weights), None, 0.0)
         total = float(np.sum(weights, dtype=np.float128))
         if abs(total - 1.0) > _MASS_TOL:
             raise ValueError(f"weights sum to {total}, not 1")
         self.positions = positions
         self.weights = weights
-        self.lattice = lattice
         self.positions.setflags(write=False)
         self.weights.setflags(write=False)
         self._cum = np.asarray(np.cumsum(weights.astype(np.float128)),
@@ -132,16 +98,25 @@ class DiscreteDist:
         yield self.positions, self.weights
 
 
+def _drop_zeros_and_sort(positions, weights):
+    """The atoms of nonzero weight, stably sorted by position."""
+    keep = np.flatnonzero(weights)
+    order = keep[np.argsort(positions[keep], kind="stable")]
+    return positions[order], weights[order]
+
+
 def _merge_atoms(positions, weights, coords, spread):
     """Merge coincident atoms after sorting.
 
-    Lattice atoms (``coords`` not None, one row of integer coordinates per
-    atom) merge only when their coordinate tuples match; untagged atoms
-    merge when they agree within _MERGE_TOL * ``spread``, where ``spread``
-    is max(1, the largest |position| of the whole distribution).  A
-    near-collision of distinct lattice tuples cannot be ordered reliably in
-    doubles and raises PrecisionExhausted, unless the unit coordinate is
-    the only one: its positions are a monotone function of it.
+    Three merges, one per maker of atoms: ``LatticeZn.slabs`` passes one
+    row of integer coordinates per atom (``coords``), and atoms merge only
+    when their coordinate tuples match; ``convolve`` passes ``spread`` =
+    max(1, the largest |position| of its result), and atoms merge when
+    they agree within _MERGE_TOL * ``spread``; the DiscreteDist
+    constructor passes ``spread`` = 0, so only equal positions merge.  A
+    near-collision of distinct lattice tuples cannot be ordered reliably
+    in doubles and raises PrecisionExhausted, unless the unit coordinate
+    is the only one: its positions are a monotone function of it.
     """
     if positions.size <= 1:
         return positions, weights, coords
@@ -178,9 +153,9 @@ def bernoulli_pm(scale) -> DiscreteDist:
 
 
 def bernoulli_base(spec: CharSpec) -> DiscreteDist:
-    """The step distribution of a product or mixture spec, with a lattice
-    tag over (1, alphas); ``prod:`` with no steps is the unit Bernoulli on
-    {-1, +1}."""
+    """The step distribution of a product or mixture spec, built by the
+    lattice builder as Z_1 and keeping the spec for ``zn_dist``; ``prod:``
+    with no steps is the unit Bernoulli on {-1, +1}."""
     # one step is Z_1 before normalization
     base = LatticeZn(spec, 1, 1.0).whole()
     base.spec = spec
@@ -188,13 +163,13 @@ def bernoulli_base(spec: CharSpec) -> DiscreteDist:
 
 
 def product_bernoulli(alphas: Sequence[AlphaSpec]) -> DiscreteDist:
-    """B_1 * B_{alpha_1} * ... * B_{alpha_m} with a lattice tag."""
+    """B_1 * B_{alpha_1} * ... * B_{alpha_m}, as ``bernoulli_base``."""
     return bernoulli_base(CharSpec.product(alphas))
 
 
 def mixture_bernoulli(weights: Sequence[float],
                       alphas: Sequence[AlphaSpec]) -> DiscreteDist:
-    """p_0 B_1 + sum_k p_k B_{alpha_k} with a lattice tag over (1, alphas)."""
+    """p_0 B_1 + sum_k p_k B_{alpha_k}, as ``bernoulli_base``."""
     return bernoulli_base(CharSpec.mixture(weights, alphas))
 
 
@@ -205,23 +180,17 @@ def mixture_bernoulli(weights: Sequence[float],
 def convolve(d1: DiscreteDist, d2: DiscreteDist) -> DiscreteDist:
     """Distribution of X1 + X2 for independent X1 ~ d1, X2 ~ d2.
 
-    Each input omits at most its ``tail_mass``, so by the union bound the
+    Atoms within _MERGE_TOL * max(1, the largest |position|) merge.  Each
+    input omits at most its ``tail_mass``, so by the union bound the
     result omits at most their sum.
     """
     k = len(d1) * len(d2)
-    tagged = (d1.lattice is not None and d2.lattice is not None
-              and d1.lattice.compatible(d2.lattice))
-    width = d1.lattice.coords.shape[1] if tagged else 0
-    _over_budget(f"convolution support of {k} atoms would",
-                 k * _atom_bytes(width))
-    positions = np.add.outer(d1.positions, d2.positions).ravel()
-    weights = np.multiply.outer(d1.weights, d2.weights).ravel()
-    lattice = None
-    if tagged:
-        c1, c2 = d1.lattice.coords, d2.lattice.coords
-        coords = (c1[:, None, :] + c2[None, :, :]).reshape(k, c1.shape[1])
-        lattice = LatticeTag(d1.lattice.alphas, coords, d1.lattice.scale)
-    dist = DiscreteDist(positions, weights, lattice=lattice)
+    _over_budget(f"convolution support of {k} atoms would", k * _atom_bytes(0))
+    x, w = _drop_zeros_and_sort(
+        np.add.outer(d1.positions, d2.positions).ravel(),
+        np.multiply.outer(d1.weights, d2.weights).ravel())
+    spread = max(1.0, float(np.max(np.abs(x), initial=0.0)))
+    dist = DiscreteDist(*_merge_atoms(x, w, None, spread)[:2])
     dist.tail_mass = d1.tail_mass + d2.tail_mass
     return dist
 
@@ -352,19 +321,16 @@ class LatticeZn:
         self.fold[:, 0] = unit
         for k, j in enumerate(own, start=1):
             self.fold[j, k] = q
-        self.alphas = tuple(spec.alphas[j - 1] for j in own)
-        self.vals = np.array([1.0] + [a.to_float() for a in self.alphas])
+        self.vals = np.array([1.0] + [spec.alphas[j - 1].to_float()
+                                      for j in own])
         self.scale = scale / q
 
     def whole(self) -> DiscreteDist:
         """Z_n as one DiscreteDist: the slabs concatenated."""
-        self._budget("atoms", self.support.size ** (len(self.spec.alphas) + 1),
-                     _atom_bytes(self.fold.shape[1]))
-        x, w, coords = zip(*self.slabs())
-        dist = DiscreteDist(np.concatenate(x), np.concatenate(w),
-                            lattice=LatticeTag(self.alphas,
-                                               np.concatenate(coords),
-                                               self.scale))
+        atoms = self.support.size ** (len(self.spec.alphas) + 1)
+        self._budget("atoms", atoms, atoms * _atom_bytes(self.fold.shape[1]))
+        x, w, _ = zip(*self.slabs())
+        dist = DiscreteDist(np.concatenate(x), np.concatenate(w))
         dist.tail_mass = self.tail_mass
         return dist
 
@@ -406,15 +372,24 @@ class LatticeZn:
         product = self.spec.weights is None
         # the charge, as tracemalloc measures it where every cell is an
         # atom: the tuple arrays while they are built and sorted, 24w + 96
-        # B a tuple, a mixture's weight grid at 8 B a cell, and one slab,
-        # 32w + 96 B a (bucket, tuple) cell.  A slab holds about SLAB_BYTES
-        # of cells, but at least one bucket and at most every bucket the
-        # walk can span: m (L - 1) + 1 tuple offsets plus L atoms
+        # B a tuple, and one slab, 32w + 96 B a (bucket, tuple) cell.  A
+        # slab holds about SLAB_BYTES of cells, but at least one bucket and
+        # at most every bucket the walk can span: m (L - 1) + 1 tuple
+        # offsets plus L atoms.  A mixture adds its weight grid at 8 B a
+        # cell, its k-rows at 8 B an entry and 128 B a row, and its largest
+        # composition block: a k-row has at most g(k) = min(k, t) + 1
+        # entries (t of ``_row_edge``), concave in k, so g(n / (m + 1))^(m + 1)
+        # cells bound a block
         cell_bytes = 32 * width + 96
         per = min(max(1, round(SLAB_BYTES / cell_bytes / tuples)),
                   (m + 1) * size)
-        self._budget("tuples", tuples, 24 * width + 96 + per * cell_bytes
-                     + (0 if product else 8 * size))
+        need = tuples * (24 * width + 96 + per * cell_bytes)
+        if not product:
+            share = self.n / (m + 1)
+            g = min(share, math.sqrt(2 * share * math.log(2 / TAIL_EPS))) + 1
+            need += 8 * size ** (m + 1) + math.ceil(8 * g ** (m + 1)) + sum(
+                8 * _row_edge(k) + 128 for k in range(self.n + 1))
+        self._budget("tuples", tuples, need)
         if product:
             row, gap = self.row, 2
         else:
@@ -526,10 +501,10 @@ class LatticeZn:
             "each other; the steps may be rationally dependent (not reduced "
             "yet) or too close to order in doubles")
 
-    def _budget(self, what: str, count: int, each: int) -> None:
+    def _budget(self, what: str, count: int, need: int) -> None:
         _over_budget(f"Z_n for n = {self.n}, m = {len(self.spec.alphas)}: "
                      f"row window {self.support.size}, {count} {what} would",
-                     count * each)
+                     need)
 
 
 def _compositions(n: int, parts: int):

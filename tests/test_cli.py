@@ -112,6 +112,16 @@ class TestDelta:
         assert code == 0
         assert out == want
 
+    def test_atoms_within_merge_tolerance_output_unchanged(self, capsys):
+        # the step's atoms -1 - 1/q and -1 + 1/q lie 1e-12 apart, inside
+        # convolve's merge tolerance: merged, alpha3 would read -1.5e-12
+        # and Phi3 would move Delta
+        code, out, _ = run(capsys, "delta", "--base",
+                           "prod:rat:1/2000000000003", "--n", "64",
+                           "--target", "phi3")
+        assert code == 0
+        assert out == "64 0.049673376872642283 3.2499999999951259e-12 right\n"
+
     def test_config_error(self, capsys):
         code, _, err = run(capsys, "delta", "--base", "bogus", "--n", "4")
         assert code == 2

@@ -43,6 +43,12 @@ def grid_oracle(d, G, lo=-12.0, hi=12.0, points=10 ** 6):
     return float(best)
 
 
+def lattice_weights(z):
+    """{lattice coordinate tuple: weight} over the slabs of a LatticeZn."""
+    return {tuple(map(int, row)): w for _, weights, coords in z.slabs()
+            for row, w in zip(coords, weights)}
+
+
 class TestConstructors:
     def test_bernoulli(self):
         b = K.bernoulli_pm(1)
@@ -77,6 +83,20 @@ class TestConstructors:
                            np.array([0.5, 0.0, 0.5]))
         assert d.positions.tolist() == [0.0, 2.0]
 
+    def test_merges_equal_positions_only(self):
+        d = K.DiscreteDist(np.array([1.0, 1e-13, 0.0, 0.0]),
+                           np.array([0.25, 0.25, 0.125, 0.375]))
+        assert d.positions.tolist() == [0.0, 1e-13, 1.0]
+        assert d.weights.tolist() == [0.5, 0.25, 0.25]
+
+    def test_close_lattice_atoms_stay_apart(self):
+        # -1 - 1/q and -1 + 1/q lie 1e-12 apart, inside convolve's merge
+        # tolerance, but are distinct lattice atoms
+        base = K.bernoulli_base(CharSpec.parse("prod:rat:1/2000000000003"))
+        assert len(base) == 4
+        m = K.moments(base)
+        assert m.mean == 0.0 and m.alpha3 == 0.0
+
 
 class TestConvolve:
     def test_binomial(self):
@@ -96,15 +116,25 @@ class TestConvolve:
 
     def test_overflow_guard(self, monkeypatch):
         d = K.zn_dist(K.product_bernoulli([SQRT2]), 8)
-        # room for 100 atoms with two lattice coordinates
+        # room for 100 atoms with two lattice coordinates, far below the
+        # 81^2 atoms of the convolution
         monkeypatch.setattr(K, "MEMORY_BUDGET", 100 * K._atom_bytes(2))
         with pytest.raises(SupportOverflow):
             K.convolve(d, d)
 
+    @pytest.mark.parametrize("gap, atoms", [(1e-13, [0.0]),
+                                            (1e-11, [0.0, 1e-11])])
+    def test_merges_within_tolerance(self, gap, atoms):
+        # _MERGE_TOL = 1e-12 of max(1, the largest |position|)
+        d = K.DiscreteDist(np.array([0.0, gap]), np.array([0.5, 0.5]))
+        c = K.convolve(d, K.DiscreteDist(np.array([0.0]), np.array([1.0])))
+        assert c.positions.tolist() == atoms
+        assert np.sum(c.weights) == 1.0
+
     def test_lattice_merge_exact(self):
         base = K.product_bernoulli([SQRT2])
         c = K.convolve(base, base)
-        # coords live on (i, j) with i, j in {-2, 0, 2}: 9 atoms
+        # atoms at i + j sqrt 2 with i, j in {-2, 0, 2}: 9 atoms
         assert len(c) == 9
         assert abs(float(np.sum(c.weights)) - 1.0) < 2 ** -45
 
@@ -154,10 +184,8 @@ class TestZnDist:
     def test_exact_oracle_n8(self):
         # product-of-binomials weights against the big-rational oracle
         base = K.product_bernoulli([SQRT2])
-        z = K.zn_dist(base, 8)
         exact = K.zn_dist_exact([SQRT2], 8)
-        lookup = {tuple(map(int, row)): w
-                  for row, w in zip(z.lattice.coords, z.weights)}
+        lookup = lattice_weights(K.zn_slabs(base, 8))
         assert set(lookup) == set(exact)
         for key, frac in exact.items():
             assert abs(lookup[key] - float(frac)) < 1e-15
@@ -202,7 +230,8 @@ class TestZnDist:
         # n = 256 cuts the rows; the reference is the whole product built
         # from full math.comb rows
         n = 256
-        z = K.zn_dist(K.product_bernoulli([SQRT2]), n)
+        base = K.product_bernoulli([SQRT2])
+        z = K.zn_dist(base, n)
         assert len(z) < (n + 1) ** 2
         assert 0.0 < z.tail_mass == 2 * K.TAIL_EPS
         i = np.arange(-n, n + 1, 2)
@@ -211,9 +240,8 @@ class TestZnDist:
         coords = np.stack(np.meshgrid(i, i, indexing="ij"), axis=-1)
         coords = coords.reshape(-1, 2)
         ref = K.DiscreteDist(
-            coords @ np.array([1.0, math.sqrt(2)]) * z.lattice.scale,
-            np.multiply.outer(full, full).ravel(),
-            lattice=K.LatticeTag((SQRT2,), coords, z.lattice.scale))
+            coords @ np.array([1.0, math.sqrt(2)]) * K.zn_slabs(base, n).scale,
+            np.multiply.outer(full, full).ravel())
         assert ref.tail_mass == 0.0
         res = K.kolmogorov_distance(z, PhiFn())
         exact = K.kolmogorov_distance(ref, PhiFn())
@@ -270,9 +298,7 @@ class TestZnDist:
                     key = (a + da, b + db)
                     nxt[key] = nxt.get(key, 0) + w * v
             exact = nxt
-        z = K.zn_dist(K.mixture_bernoulli(p, [SQRT2]), n)
-        got = {tuple(map(int, row)): w
-               for row, w in zip(z.lattice.coords, z.weights)}
+        got = lattice_weights(K.zn_slabs(K.mixture_bernoulli(p, [SQRT2]), n))
         assert set(got) == set(exact)
         err = max(abs(Fraction(got[key]) - w) / w for key, w in exact.items())
         assert err <= 1e-15
@@ -292,20 +318,19 @@ class TestZnDist:
         assert abs(K.kolmogorov_distance(z, PhiFn()).delta
                    - K.kolmogorov_distance(ref, PhiFn()).delta) < 1e-12
 
-    def test_hand_tagged_base_is_convolved(self):
-        # sign-vector atoms with unequal weights are not B_1 * B_sqrt2: the
-        # tag alone must not send them down the product builder
-        coords = np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]])
-        positions = coords @ np.array([1.0, math.sqrt(2)])
-        weights = np.array([0.1, 0.2, 0.3, 0.4])
-        tagged = K.DiscreteDist(positions, weights,
-                                lattice=K.LatticeTag((SQRT2,), coords))
-        plain = K.DiscreteDist(positions, weights)
-        for n in (1, 3):
-            zt, zp = K.zn_dist(tagged, n), K.zn_dist(plain, n)
-            assert np.array_equal(zt.positions, zp.positions)
-            assert np.array_equal(zt.weights, zp.weights)
-        z1 = K.zn_dist(tagged, 1)
+    def test_hand_built_sign_vector_base(self):
+        # sign-vector atoms with unequal weights are not B_1 * B_sqrt2: a
+        # base built by hand goes through convolution
+        signs = np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]])
+        base = K.DiscreteDist(signs @ np.array([1.0, math.sqrt(2)]),
+                              np.array([0.1, 0.2, 0.3, 0.4]))
+        assert base.spec is None
+        z3 = K.zn_dist(base, 3)
+        raw = K.convolve(base, K.convolve(base, base))
+        scale = K._zn_scale(base, 3)
+        assert np.array_equal(z3.positions, raw.positions * scale)
+        assert np.array_equal(z3.weights, raw.weights)
+        z1 = K.zn_dist(base, 1)
         assert K.kolmogorov_distance(z1, PhiFn()).delta \
             == pytest.approx(0.335, abs=1e-3)
         assert K.moments(z1).mean == pytest.approx(0.429, abs=1e-3)
@@ -395,7 +420,7 @@ def dense_mixture(spec, n):
 
 def grid_atoms(spec, n):
     """Every cell of Z_n's whole grid, unsorted: positions, weights and
-    lattice tag.  A product's grid is the outer product of the binomial
+    lattice coordinates.  A product's grid is the outer product of the binomial
     rows in C order, a mixture's is ``dense_mixture``; rational steps fold
     into the unit coordinate over their common denominator q, and the
     positions are (coords @ (1, alphas)) * scale."""
@@ -416,22 +441,28 @@ def grid_atoms(spec, n):
             cols.append(q * c)
         else:
             cols[0] = cols[0] + int(q * f) * c
-    alphas = tuple(a for a, f in zip(spec.alphas, fracs) if f is None)
+    vals = [1.0] + [a.to_float() for a, f in zip(spec.alphas, fracs)
+                    if f is None]
     coords = np.stack(cols, axis=-1).reshape(-1, len(cols))
     base = K.bernoulli_base(spec)
     scale = 1.0 / (math.sqrt(K.moments(base).sigma2) * math.sqrt(n)) / q
-    x = (coords @ np.array([1.0] + [a.to_float() for a in alphas])) * scale
-    return x, grid.ravel(), K.LatticeTag(alphas, coords, scale)
+    return (coords @ np.array(vals)) * scale, grid.ravel(), coords
 
 
 def whole_grid(spec, n):
     """Z_n as a whole-grid engine builds it: ``grid_atoms``, cells of
-    weight 0.0 dropped, one stable sort and merge."""
-    x, w, tag = grid_atoms(spec, n)
-    z = K.DiscreteDist(x, w, lattice=tag)
+    weight 0.0 dropped, one stable sort and a merge of equal coordinates.
+    Returns Z_n and the lattice coordinates of its atoms."""
+    x, w, coords = grid_atoms(spec, n)
+    keep = w > 0.0
+    x, w, coords = x[keep], w[keep], coords[keep]
+    order = np.argsort(x, kind="stable")
+    x, w, coords = K._merge_atoms(x[order], w[order], coords[order],
+                                  max(1.0, float(np.max(np.abs(x)))))
+    z = K.DiscreteDist(x, w)
     if K._binom_row(n)[1][0] > -n:  # each cut row leaves out at most TAIL_EPS
         z.tail_mass = (len(spec.alphas) + 1) * K.TAIL_EPS
-    return z
+    return z, coords
 
 
 def charged(z):
@@ -481,10 +512,12 @@ class TestStreamedScan:
                                                     n))
         else:
             G = comparison_for("phi", base, n)
-        whole = whole_grid(base.spec, n)
+        whole, coords = whole_grid(base.spec, n)
         want = K.kolmogorov_distance(whole, G)
         monkeypatch.setattr(K, "SLAB_BYTES", self.SMALL)
-        slabs = [x for x, _, _ in K.zn_slabs(base, n).slabs()]
+        slabs, walked = zip(*[(x, c) for x, _, c in
+                              K.zn_slabs(base, n).slabs()])
+        assert np.array_equal(np.concatenate(walked), coords)
         assert len(slabs) >= 10
         for s in G.stationary_points():
             assert sum(x[-1] < s for x in slabs) >= 2
@@ -493,7 +526,6 @@ class TestStreamedScan:
         glued = K.zn_dist(base, n)
         assert np.array_equal(glued.positions, whole.positions)
         assert np.array_equal(glued.weights, whole.weights)
-        assert np.array_equal(glued.lattice.coords, whole.lattice.coords)
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.one_of(
@@ -517,8 +549,8 @@ class TestStreamedScan:
                 return [np.concatenate(a) for a in zip(*z.slabs())]
 
         def whole():
-            z = whole_grid(spec, n)
-            return [z.positions, z.weights, z.lattice.coords]
+            z, coords = whole_grid(spec, n)
+            return [z.positions, z.weights, coords]
 
         got, want = (_or_collision(f) for f in (walk, whole))
         if want is None:
@@ -564,7 +596,7 @@ class TestStreamedScan:
         # one bucket per slab: every slab edge sits between two buckets
         base = K.bernoulli_base(CharSpec.parse(text))
         G = comparison_for("phi", base, n)
-        want = K.kolmogorov_distance(whole_grid(base.spec, n), G)
+        want = K.kolmogorov_distance(whole_grid(base.spec, n)[0], G)
         monkeypatch.setattr(K, "SLAB_BYTES", 1)
         z = K.zn_slabs(base, n)
         assert sum(1 for _ in z.slabs()) >= 10
@@ -627,23 +659,27 @@ class TestStreamedScan:
             tracemalloc.stop()
         assert peak < charged(z)
 
-    def test_mixture_scan_memory_is_set_by_its_window(self):
-        # a mixture's scan holds its k-rows and what the walk is charged:
-        # its weight grid on the widest window of its k-rows, (2E + 1)^2
-        # cells at n = 1024, the tuples and one slab; the grid of every
-        # raw coordinate pair would be 2049^2 cells
+    def test_mixture_scan_memory_is_set_by_its_window(self, monkeypatch):
+        # a mixture's scan holds what it is charged: its weight grid on the
+        # widest window of its k-rows, (2E + 1)^2 cells (the grid of every
+        # raw coordinate pair would be (2n + 1)^2), its n + 1 k-rows, the
+        # largest block of its composition loop, the tuples and one slab.
+        # The k-rows are computed before tracing, which would slow their
+        # big-integer recurrence several times over, and handed out as
+        # copies, so the traced scan still allocates every row
+        rows = {k: K._binom_row(k) for k in range(3001)}
+        monkeypatch.setattr(K, "_binom_row",
+                            lambda k: tuple(a.copy() for a in rows[k]))
         base = K.mixture_bernoulli([0.5, 0.5], [SQRT2])
-        n = 1024
-        z = K.zn_slabs(base, n)
-        rows = sum(K._binom_row(k)[0].nbytes for k in range(n + 1))
-        bound = charged(z) + rows
-        tracemalloc.start()
-        try:
-            K.kolmogorov_distance(z, PhiFn())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound < 8 * (2 * n + 1) ** 2
+        for n in (1024, 3000):
+            z = K.zn_slabs(base, n)
+            tracemalloc.start()
+            try:
+                K.kolmogorov_distance(z, PhiFn())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < charged(z) < 8 * (2 * n + 1) ** 2
 
     def test_mixture_weight_grid_is_charged(self, monkeypatch):
         # the budget holds the weight grid at 8 B a cell, but not the grid
