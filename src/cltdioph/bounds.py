@@ -116,8 +116,9 @@ def lemma21_rhs(base: DiscreteDist, n: int, T: float) -> Lemma21Report:
 
 def prop22_cutoff(p: float, q: float, n: int, a_const: float) -> float:
     """Cutoff T_n = (bn)^(1/p) (log n)^(-r) with r = (q+1)/p, b = a p^q / 3."""
-    if p <= 0 or a_const <= 0:
-        raise ValueError("p and a_const must be positive")
+    if not (0.0 < p < math.inf and 0.0 < a_const < math.inf):
+        raise ValueError(f"p and a_const must be positive and finite, got "
+                         f"p = {p}, a_const = {a_const}")
     if n < 3:
         raise ValueError("n must be >= 3 so log n > 1")
     r = (q + 1.0) / p

@@ -2,8 +2,7 @@
 
 Covers the product form cos(t) cos(a1 t) ... cos(am t), the mixture form
 p0 cos(t) + sum pk cos(ak t), the elementary cosine inequalities linking
-1 - |cos(pi x)| to the distance-to-integer function, the lower bound
-transferring a profile eps(n) from integers to real t, and power-law
+1 - |cos(pi x)| to the distance-to-integer function, and power-law
 fitting of 1/(1 - |f(t)|) at near-maximal points of |f|.
 """
 
@@ -12,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -155,13 +154,6 @@ def eval(spec: CharSpec, t: float) -> float:  # noqa: A001 (domain name)
     return val
 
 
-def one_minus_abs_profile(spec: CharSpec, t_grid) -> list[tuple[float, float]]:
-    ts = [float(t) for t in t_grid]
-    if any(b < a for a, b in zip(ts, ts[1:])):
-        raise ValueError("t_grid must be sorted")
-    return [(t, min(1.0, max(0.0, 1.0 - abs(eval(spec, t))))) for t in ts]
-
-
 class Ineq61Result(NamedTuple):
     """Margins of the three cosine inequalities at x (>= 0 means holds)."""
 
@@ -180,29 +172,6 @@ def ineq61_check(x: float) -> Ineq61Result:
     m3 = (math.pi ** 2 / 2.0) * d * d - one_minus
     return Ineq61Result(m1, m2, m3,
                         min(m1, m2, m3) >= -1e-12)
-
-
-def lemma61_lower(alphas, t: float,
-                  eps_at: Callable[[int], float]) -> tuple[float, float]:
-    """Both sides of ||t||^2 + sum ||t a_k||^2 >= (c eps(n(t)))^2.
-
-    c is 1/(1 + max |a_k|); n(t) is the integer closest to t.
-    """
-    if t < 1.0:
-        raise ValueError("t must be >= 1")
-    alphas = list(alphas)
-    if not alphas:
-        raise ValueError("need at least one alpha")
-    lds = [_alpha_longdouble(a) for a in alphas]
-    lhs = frac_dist(t) ** 2
-    for a_ld in lds:
-        lhs += frac_dist(float(a_ld * _LONG(t))) ** 2
-    n = nearest_int_float(t)
-    eps = float(eps_at(n))
-    if eps <= 0.0:
-        raise ValueError(f"eps({n}) must be positive, got {eps}")
-    c = 1.0 / (1.0 + max(abs(a.to_float()) for a in alphas))
-    return lhs, (c * eps) ** 2
 
 
 @dataclass(frozen=True)
@@ -284,8 +253,8 @@ def growth_fit(spec: CharSpec, t_max: float) -> GrowthFit:
     covers rounding in f and L_n): the records, the fit and the errors
     are those of the search at every candidate.
     """
-    if t_max <= 10.0:
-        raise ValueError("t_max must exceed 10")
+    if not 10.0 < t_max < math.inf:
+        raise ValueError(f"t_max must be finite and exceed 10, got {t_max}")
     if spec.weights is None and not spec.alphas:
         # pure cos(t): |f(pi n)| = 1 exactly, no growth law to fit
         return GrowthFit(math.nan, None, (), math.nan, degenerate=True)

@@ -4,11 +4,11 @@ Real numbers are described by an AlphaSpec (quadratic surd, continued
 fraction, decimal string, or exact rational) that can produce, for any
 requested bit count B, an integer mantissa M with |alpha - M/2^B| < 2^-B.
 Everything downstream (distance to the nearest integer, irrationality-type
-scans, Khinchine infima) consumes that oracle and either certifies its
-answer or raises PrecisionExhausted.  Scans over n = 1..N read the orbit
-off one 64-bit mantissa in numpy passes (``orbit_residues``,
-``orbit_dists``); only the entries that the 64-bit pass cannot certify go
-back to the scalar ``nearest_int_dist``.
+scans) consumes that oracle and either certifies its answer or raises
+PrecisionExhausted.  Scans over n = 1..N read the orbit off one 64-bit
+mantissa in numpy passes (``orbit_residues``, ``_orbit_blocks``); only the
+entries that the 64-bit pass cannot certify go back to the scalar
+``nearest_int_dist``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -486,25 +486,6 @@ def _orbit_blocks(alpha: AlphaSpec, n_max: int) -> Iterator[np.ndarray]:
         yield d
 
 
-def orbit_dists(alpha: AlphaSpec, n_max: int) -> Iterator[float]:
-    """Yield ||n alpha|| for n = 1..n_max, each equal to
-    ``nearest_int_dist(alpha, n)[0]`` bit for bit.
-
-    The values come from the blocks of ``_orbit_blocks``.  For n < 2^23
-    those are read off ``orbit_residues``: d_n / 2^64, d_n = min(r_n, 2^64
-    - r_n), is kept where ``_certified`` passes, the test
-    ``nearest_int_dist`` applies at 64 bits; a rational alpha with a
-    denominator below 2^31 is read off exact integer residues.  Every other
-    entry, and every n from 2^23 on (where ``nearest_int_dist`` starts
-    above 64 bits) is computed by ``nearest_int_dist`` itself.  So one
-    predicate certifies every value, scans keep constant memory, and a
-    caller that does other work per n meets errors in the order of a loop
-    over n.
-    """
-    for d in _orbit_blocks(alpha, n_max):
-        yield from d.tolist()
-
-
 # ---------------------------------------------------------------------------
 # irrationality-type estimate
 
@@ -565,61 +546,3 @@ def type_estimate(alpha: AlphaSpec, n_max: int) -> TypeEstimate:
             return TypeEstimate(math.inf, chain, n_max, degenerate=True)
         lo += d.size
     return TypeEstimate(eta_hat, chain, n_max)
-
-
-# ---------------------------------------------------------------------------
-# epsilon profile and Khinchine r_psi
-
-
-@dataclass
-class EpsProfile:
-    """Pointwise profile eps(n) = max_k ||n alpha_k|| for n = 1..n_max."""
-
-    values: list[float]
-    diagnostic: Optional[list[float]] = None  # n^eta (log n)^eta' eps(n)
-
-
-def eps_profile(alphas: Sequence[AlphaSpec], n_max: int,
-                eta: Optional[float] = None,
-                eta_prime: Optional[float] = None) -> EpsProfile:
-    if not alphas:
-        raise ValueError("need at least one alpha")
-    scans = [orbit_dists(a, n_max) for a in alphas]
-    values = [max(dists) for dists in zip(*scans)]
-    diag = None
-    if eta is not None:
-        ep = eta_prime if eta_prime is not None else 0.0
-        diag = [n ** eta * (math.log(n) ** ep if n > 1 else 1.0) * v
-                for n, v in enumerate(values, start=1)]
-    return EpsProfile(values, diag)
-
-
-@dataclass
-class KhinchinePsi:
-    """Positive weight function psi(n) for the Khinchine functional."""
-
-    fn: Callable[[int], float]
-
-    def __call__(self, n: int) -> float:
-        v = self.fn(n)
-        if v <= 0:
-            raise ValueError(f"psi({n}) = {v} must be positive")
-        return v
-
-
-def khinchine_r(alpha: AlphaSpec, psi: KhinchinePsi,
-                n_max: int) -> tuple[float, int]:
-    """Partial infimum of ||n alpha|| / psi(n) over 1 <= n <= n_max.
-
-    Returns (value, argmin); monotone non-increasing in n_max.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    best, arg = math.inf, 0
-    for n, dist in enumerate(orbit_dists(alpha, n_max), start=1):
-        v = dist / psi(n)
-        if v < best:
-            best, arg = v, n
-        if best == 0.0:
-            break
-    return best, arg

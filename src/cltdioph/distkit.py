@@ -303,11 +303,11 @@ class LatticeZn:
         self.spec, self.n = spec, n
         m = len(spec.alphas)
         if spec.weights is None:
-            self.row, self.support = _binom_row(n)
+            e, gap = _row_edge(n), 2
         else:
             # the widest k-row window, k <= n: the n-row's or the (n-1)-row's
-            e = max(_row_edge(n - 1), _row_edge(n))
-            self.support = np.arange(-e, e + 1, dtype=np.int64)
+            e, gap = max(_row_edge(n - 1), _row_edge(n)), 1
+        self.support = np.arange(-e, e + 1, gap, dtype=np.int64)
         self.tail_mass = (m + 1) * TAIL_EPS if self.support[0] > -n else 0.0
         fracs = [a.exact_fraction() if a.is_rational else None
                  for a in spec.alphas]
@@ -377,21 +377,26 @@ class LatticeZn:
         # at most every bucket the walk can span: m (L - 1) + 1 tuple
         # offsets plus L atoms.  A mixture adds its weight grid at 8 B a
         # cell, its k-rows at 8 B an entry and 128 B a row, and its largest
-        # composition block: a k-row has at most g(k) = min(k, t) + 1
+        # composition block: a k-row has at most g(k) = min(k, t(k)) + 1
         # entries (t of ``_row_edge``), concave in k, so g(n / (m + 1))^(m + 1)
-        # cells bound a block
+        # cells bound a block.  t(k) = sqrt(2 k ln(2 / TAIL_EPS)) grows with
+        # k, so the integral of t up to n + 1 bounds the entries of the
+        # k-rows, k <= n, with no loop over k
         cell_bytes = 32 * width + 96
         per = min(max(1, round(SLAB_BYTES / cell_bytes / tuples)),
                   (m + 1) * size)
         need = tuples * (24 * width + 96 + per * cell_bytes)
         if not product:
             share = self.n / (m + 1)
-            g = min(share, math.sqrt(2 * share * math.log(2 / TAIL_EPS))) + 1
-            need += 8 * size ** (m + 1) + math.ceil(8 * g ** (m + 1)) + sum(
-                8 * _row_edge(k) + 128 for k in range(self.n + 1))
+            ln = math.log(2 / TAIL_EPS)
+            g = min(share, math.sqrt(2 * share * ln)) + 1
+            entries = 2 / 3 * math.sqrt(2 * ln) * (self.n + 1) ** 1.5
+            need += (8 * size ** (m + 1)
+                     + math.ceil(8 * (g ** (m + 1) + entries))
+                     + 128 * (self.n + 1))
         self._budget("tuples", tuples, need)
         if product:
-            row, gap = self.row, 2
+            row, gap = _binom_row(self.n)[0], 2
         else:
             # mixture weights over a common denominator: normalized
             # exactly, although the floats p_j need not add up to exactly 1
@@ -410,6 +415,8 @@ class LatticeZn:
                     cells.append(slice(e - edge, e + edge + 1, 2))
                 grid[tuple(cells)] += block
             grid = grid.ravel()
+            # the walk needs the grid alone
+            del rows, block
         coef = self.fold @ self.vals
         s = int(np.argmax(np.abs(coef)))
         up = coef[s] > 0

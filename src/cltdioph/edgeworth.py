@@ -20,7 +20,6 @@ from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from .distkit import DiscreteDist, moments
-from .errors import MomentMismatch
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -208,37 +207,6 @@ def cf_deviation_bound(t: float, delta_n: float, symmetric: bool = False) -> flo
         raise ValueError(f"delta_n must be in (0, 1], got {delta_n}")
     const = 16.02 if symmetric else 24.2
     return const * abs(t) * delta_n * math.sqrt(math.log(math.e + 1.0 / delta_n))
-
-
-def _gaussian_tail_x2(a: float) -> float:
-    """int_{|x| >= a} x^2 dPhi(x) = 2 (a phi(a) + 1 - Phi(a))."""
-    return 2.0 * (a * std_normal_pdf(a) + 1.0 - std_normal_cdf(a))
-
-
-def _sup_weighted_tail(G, a: float) -> float:
-    """max( sup_{x>=a} x^2 |1 - G(x)|, sup_{x<=-a} x^2 |G(x)| ) numerically."""
-    xs = np.linspace(a, a + 50.0, 20001)
-    hi = float(np.max(np.square(xs) * np.abs(1.0 - np.asarray(G(xs)))))
-    lo = float(np.max(np.square(xs) * np.abs(np.asarray(G(-xs)))))
-    return max(hi, lo)
-
-
-def lemma31_bound(d: DiscreteDist, G, a: float, delta: float) -> float:
-    """Explicit non-uniform bound 4a^2 Delta + tail integral + tail sup.
-
-    Requires F to have second moment 1 (within 1e-9), as every G has: the
-    skewness correction of Phi3 has zero second moment.  The
-    tail integral of x^2 dG is the Gaussian closed form, because the odd
-    correction cancels over the symmetric region |x| >= a.
-    """
-    if a <= 0:
-        raise ValueError("a must be positive")
-    m = moments(d)
-    m2_f = m.sigma2 + m.mean ** 2
-    if abs(m2_f - 1.0) > 1e-9:
-        raise MomentMismatch(f"F has second moment {m2_f}, not 1")
-    return (4.0 * a * a * delta + _gaussian_tail_x2(a)
-            + _sup_weighted_tail(G, a))
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,6 @@ class QuadratureFailure(Exception):
     """Adaptive quadrature could not reach its error target."""
 
 
-class MomentMismatch(Exception):
-    """Two distributions that must share a moment do not."""
-
-
 class InsufficientPeaks(ValueError):
     """Peak scan found fewer usable local maxima than requested."""
 

@@ -161,6 +161,11 @@ class TestProp22Cutoff:
             B.prop22_cutoff(2.0, 0.0, 2, 1.0)
         with pytest.raises(ValueError):
             B.prop22_cutoff(2.0, 0.0, 100, 0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                B.prop22_cutoff(bad, 0.0, 100, 1.0)
+            with pytest.raises(ValueError, match="positive and finite"):
+                B.prop22_cutoff(2.0, 0.0, 100, bad)
 
 
 class TestProp51:

@@ -115,34 +115,20 @@ class TestEval:
 
 
 class TestProfile:
-    def test_zero(self):
-        spec = C.CharSpec.product([SQRT2])
-        assert C.one_minus_abs_profile(spec, [0.0]) == [(0.0, 0.0)]
-
-    def test_values_in_unit_interval(self):
-        spec = C.CharSpec.mixture([0.5, 0.5], [SQRT2])
-        prof = C.one_minus_abs_profile(spec, np.linspace(0, 50, 201))
-        assert all(0.0 <= v <= 1.0 for _, v in prof)
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            C.one_minus_abs_profile(C.CharSpec.product([SQRT2]), [2.0, 1.0])
-
     def test_local_minima_at_convergent_denominators(self):
-        # near t = pi q_k the profile dips, and the dips shrink with q_k
+        # near t = pi q_k the profile 1 - |f| dips, and the dips shrink
+        # with q_k
         spec = C.CharSpec.product([SQRT2])
         dips = []
         for q in (2, 5, 12, 29):
             ts = np.linspace(math.pi * q - 1, math.pi * q + 1, 400)
-            prof = C.one_minus_abs_profile(spec, ts)
-            dips.append(min(v for _, v in prof))
+            dips.append(min(1.0 - abs(C.eval(spec, t)) for t in ts))
         assert all(a > b for a, b in zip(dips, dips[1:]))
         assert dips[-1] < 1e-2
 
     def test_rational_periodicity(self):
         spec = C.CharSpec.mixture([0.5, 0.5], [AlphaSpec.rational(1, 1)])
-        (_, v), = C.one_minus_abs_profile(spec, [2 * math.pi])
-        assert v < 1e-15
+        assert 1.0 - abs(C.eval(spec, 2 * math.pi)) < 1e-15
 
 
 class TestIneq61:
@@ -191,37 +177,6 @@ class TestNearestInt:
         assert C.frac_dist(2.5) == 0.5
         assert C.frac_dist(-0.25) == 0.25
         assert C.frac_dist(7.0) == 0.0
-
-
-class TestLemma61:
-    def test_integer_points(self):
-        prof = D.eps_profile([SQRT2], 100)
-        eps_at = lambda n: prof.values[n - 1]
-        for n in range(1, 101):
-            lhs, rhs = C.lemma61_lower([SQRT2], float(n), eps_at)
-            assert lhs >= rhs - 1e-12
-
-    def test_real_scan_with_offsets(self):
-        prof = D.eps_profile([SQRT2], 101)
-        eps_at = lambda n: prof.values[n - 1]
-        for t in np.arange(1.0, 100.0, 1.0 / 64.0):
-            lhs, rhs = C.lemma61_lower([SQRT2], float(t), eps_at)
-            assert lhs >= rhs - 1e-12
-
-    def test_two_alphas(self):
-        prof = D.eps_profile([SQRT2, SQRT3], 51)
-        eps_at = lambda n: prof.values[n - 1]
-        for t in np.arange(1.0, 50.0, 0.25):
-            lhs, rhs = C.lemma61_lower([SQRT2, SQRT3], float(t), eps_at)
-            assert lhs >= rhs - 1e-12
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            C.lemma61_lower([SQRT2], 0.5, lambda n: 0.1)
-        with pytest.raises(ValueError):
-            C.lemma61_lower([], 2.0, lambda n: 0.1)
-        with pytest.raises(ValueError):
-            C.lemma61_lower([SQRT2], 2.0, lambda n: 0.0)
 
 
 class TestGrowthFit:
@@ -277,6 +232,9 @@ class TestGrowthFit:
     def test_preconditions(self):
         with pytest.raises(ValueError):
             C.growth_fit(C.CharSpec.product([SQRT2]), 5.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite and exceed 10"):
+                C.growth_fit(C.CharSpec.product([SQRT2]), bad)
 
 
 def _full_scan(monkeypatch, spec, t_max):
@@ -393,21 +351,3 @@ class TestCompositionWithDioph:
             lhs = abs(C.eval(spec, math.pi * n))
             # cos(pi n) = +/-1 exactly at integer n
             assert lhs <= math.exp(-math.pi ** 2 * v * v / 2) + 1e-10
-
-    def test_profile_lower_bound_from_eps(self):
-        # 1 - |f(pi t)| >= 1 - exp(-c' / profile) on a real grid, with c'
-        # fitted as the worst observed ratio (reported, not asserted to a
-        # specific value)
-        spec = C.CharSpec.product([SQRT2])
-        prof = D.eps_profile([SQRT2], 201)
-        eps_at = lambda n: prof.values[n - 1]
-        c = 1.0 / (1.0 + math.sqrt(2))
-        ratios = []
-        for t in np.arange(2.0, 200.0, 0.125):
-            one_minus = 1.0 - abs(C.eval(spec, math.pi * float(t)))
-            lhs, rhs = C.lemma61_lower([SQRT2], float(t), eps_at)
-            # (6.1) composed with the lemma: 1 - |f| >= 4 c^2 eps(n)^2
-            assert one_minus >= 4.0 * rhs - 1e-12
-            if rhs > 0:
-                ratios.append(one_minus / rhs)
-        assert min(ratios) >= 4.0 - 1e-9

@@ -145,6 +145,18 @@ class TestDelta:
         assert code == 3
         assert re.search(r"tuples would need \d+ B", err)
 
+    @pytest.mark.parametrize("base, n", [
+        ("prod:surd:0,1,1,2", 200000000000),
+        ("mix:0.5:surd:0,1,1,2=0.5", 100000000)])
+    def test_large_n_over_budget_exit_at_once(self, capsys, base, n):
+        # the budget is checked before any binomial row is built, and a
+        # mixture's k-rows are charged without a loop over k
+        start = time.perf_counter()
+        code, _, err = run(capsys, "delta", "--base", base, "--n", str(n))
+        assert time.perf_counter() - start < 2.0
+        assert code == 3
+        assert re.search(r"tuples would need \d+ B", err)
+
     def test_collision_names_n_and_steps(self, capsys):
         # 2 sqrt2 = sqrt8: the atoms that collide are the same point, so the
         # error must not claim they are distinct; steps that collide
@@ -280,6 +292,14 @@ class TestCf:
             "p_hat 1.9952381913845509 q_hat 0.0026067999712271511"
             " residual 0.0081085691947101884 peaks 8")
 
+    def test_non_finite_tmax_is_a_config_error(self, capsys):
+        for tmax in ("inf", "nan"):
+            code, out, err = run(capsys, "cf", "--spec", "prod:surd:0,1,1,2",
+                                 "--tmax", tmax)
+            assert code == 2 and out == ""
+            assert err == ("config error: t_max must be finite and exceed "
+                           f"10, got {tmax}\n")
+
     def test_degenerate_lattice(self, capsys):
         code, out, _ = run(capsys, "cf", "--spec", "prod:", "--tmax", "100")
         assert code == 0
@@ -358,3 +378,13 @@ class TestBounds:
             b'  "delta_n": 0.001270639632235504,\n'
             b'  "ratio": 13.046175801993197\n }\n]\n')
 
+    def test_non_finite_constants_are_config_errors(self, capsys):
+        for flag, value, want in [("--p", "inf", "p = inf, a_const = 1.0"),
+                                  ("--p", "nan", "p = nan, a_const = 1.0"),
+                                  ("--a-const", "inf", "p = 2.0, a_const = inf"),
+                                  ("--a-const", "nan", "p = 2.0, a_const = nan")]:
+            code, out, err = run(capsys, "bounds", "--base",
+                                 "prod:surd:0,1,1,2", "--n", "64", flag, value)
+            assert code == 2 and out == ""
+            assert err == ("config error: p and a_const must be positive and "
+                           f"finite, got {want}\n")

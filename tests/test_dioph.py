@@ -229,6 +229,12 @@ def type_estimate_loop(alpha, n_max):
     return D.TypeEstimate(eta_hat, chain, n_max)
 
 
+def orbit(alpha, n_max):
+    """||n alpha|| for n = 1..n_max, the blocks of _orbit_blocks joined."""
+    return [d for block in D._orbit_blocks(alpha, n_max)
+            for d in block.tolist()]
+
+
 def fails_64_bit_test(alpha, n):
     """Whether nearest_int_dist cannot certify ||n alpha|| at 64 bits."""
     r = n * alpha.mantissa(64) % (1 << 64)
@@ -241,7 +247,7 @@ class TestOrbitKernel:
     @pytest.mark.parametrize("text", ORBIT_SPECS)
     def test_equals_scalar(self, text):
         alpha = D.AlphaSpec.parse(text)
-        assert list(D.orbit_dists(alpha, 3000)) == \
+        assert orbit(alpha, 3000) == \
             [D.nearest_int_dist(alpha, n)[0] for n in range(1, 3001)]
 
     @pytest.mark.parametrize("text, failing", [
@@ -260,7 +266,7 @@ class TestOrbitKernel:
             return scalar(a, n)
 
         monkeypatch.setattr(D, "nearest_int_dist", counted)
-        got = list(D.orbit_dists(alpha, 3000))
+        got = orbit(alpha, 3000)
         assert [n for n in range(1, 3001)
                 if fails_64_bit_test(alpha, n)] == failing
         assert calls == failing
@@ -282,7 +288,7 @@ class TestOrbitKernel:
         monkeypatch.setattr(D, "nearest_int_dist", counted)
         monkeypatch.setattr(D, "_BLOCK", 7)
         monkeypatch.setattr(D, "_N64", 200)
-        assert list(D.orbit_dists(alpha, 300)) == want
+        assert orbit(alpha, 300) == want
         assert calls == [n for n in range(1, 200)
                          if fails_64_bit_test(alpha, n)] + \
             list(range(200, 301))
@@ -303,7 +309,7 @@ class TestOrbitKernel:
             return scalar(a, n)
 
         monkeypatch.setattr(D, "nearest_int_dist", counted)
-        assert list(D.orbit_dists(alpha, 3000)) == want
+        assert orbit(alpha, 3000) == want
         big = alpha.exact_fraction().denominator >= 1 << 31
         assert calls == (list(range(1, 3001)) if big else [])
 
@@ -395,112 +401,6 @@ class TestTypeEstimate:
         est = D.type_estimate(li, 10 ** 4)
         assert est.eta_hat > 1.5
         assert est.eta_hat > D.type_estimate(SQRT2, 10 ** 4).eta_hat
-
-
-class TestEpsProfile:
-    def test_sqrt2_values(self):
-        prof = D.eps_profile([SQRT2], 3)
-        expected = [0.41421, 0.17157, 0.24264]
-        for got, want in zip(prof.values, expected):
-            assert abs(got - want) < 1e-5
-
-    def test_rational_zero(self):
-        prof = D.eps_profile([D.AlphaSpec.rational(1, 2)], 2)
-        assert prof.values[1] == 0.0
-
-    def test_two_alphas_max(self):
-        prof = D.eps_profile([SQRT2, SQRT3], 2)
-        assert abs(prof.values[0] - 0.41421) < 1e-5
-        assert abs(prof.values[1] - 0.46410) < 1e-5
-
-    def test_diagnostic(self):
-        prof = D.eps_profile([SQRT2], 10, eta=1.0, eta_prime=0.0)
-        assert prof.diagnostic is not None
-        for n, (v, d) in enumerate(zip(prof.values, prof.diagnostic), start=1):
-            assert abs(d - n * v) < 1e-12
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            D.eps_profile([], 5)
-
-    def test_equals_scalar_max(self):
-        alphas = [D.AlphaSpec.parse(t) for t in ORBIT_SPECS]
-        prof = D.eps_profile(alphas, 2000)
-        assert prof.values == [
-            max(D.nearest_int_dist(a, n)[0] for a in alphas)
-            for n in range(1, 2001)]
-
-    def test_short_budget_raises(self):
-        # the quarter fails at n = 2 (2 alpha is 1e-22 above 1/2, below
-        # its 72-bit error), DEC35 at n = 1: a scan over n meets DEC35 first
-        quarter = D.AlphaSpec.parse("dec:0.2500000000000000000001")
-        with pytest.raises(PrecisionExhausted, match="within 72 bits"):
-            D.eps_profile([quarter], 10)
-        for alphas in ([D.AlphaSpec.parse(DEC35)],
-                       [quarter, D.AlphaSpec.parse(DEC35)]):
-            with pytest.raises(PrecisionExhausted,
-                               match=r"need 64 bits to certify "
-                                     r"\|\|1\*alpha\|\|, budget is 35"):
-                D.eps_profile(alphas, 10)
-
-
-class TestKhinchineR:
-    def test_single_term(self):
-        psi = D.KhinchinePsi(lambda n: 1.0)
-        v, arg = D.khinchine_r(SQRT2, psi, 1)
-        assert abs(v - 0.41421) < 1e-5 and arg == 1
-
-    def test_argmin_at_convergent_denominator(self):
-        psi = D.KhinchinePsi(lambda n: 1.0 / (n * math.log(n + 1) ** 1.5))
-        v, arg = D.khinchine_r(SQRT2, psi, 1000)
-        assert v > 0
-        qs = {c.denominator for c in D.cf_expand(SQRT2, 20).convergents}
-        assert arg in qs
-
-    def test_rational_hits_zero(self):
-        psi = D.KhinchinePsi(lambda n: 1.0)
-        v, arg = D.khinchine_r(D.AlphaSpec.rational(2, 5), psi, 10)
-        assert v == 0.0 and arg == 5
-
-    def test_monotone_in_horizon(self):
-        psi = D.KhinchinePsi(lambda n: 1.0 / n)
-        vals = [D.khinchine_r(SQRT2, psi, n)[0] for n in (5, 50, 500)]
-        assert vals[0] >= vals[1] >= vals[2]
-
-    def test_psi_positive_enforced(self):
-        psi = D.KhinchinePsi(lambda n: -1.0)
-        with pytest.raises(ValueError):
-            D.khinchine_r(SQRT2, psi, 3)
-
-    def test_psi_error_before_later_short_budget(self):
-        # 3 alpha is 1e-20 below 1, inside the error of the 65 bits
-        # that 20 digits certify: the scan fails at n = 3
-        third = D.AlphaSpec.parse("dec:0." + "3" * 20)
-        with pytest.raises(PrecisionExhausted,
-                           match=r"cannot separate 3\*alpha .* 65 bits"):
-            D.khinchine_r(third, D.KhinchinePsi(lambda n: 1.0), 10)
-        psi = D.KhinchinePsi(lambda n: 1.0 if n < 2 else -1.0)
-        with pytest.raises(ValueError, match=r"psi\(2\) = -1.0"):
-            D.khinchine_r(third, psi, 10)
-
-    def test_horizon_checked(self):
-        psi = D.KhinchinePsi(lambda n: 1.0)
-        for n_max in (0, -1):
-            with pytest.raises(ValueError, match="n_max must be >= 1"):
-                D.khinchine_r(SQRT2, psi, n_max)
-
-    @pytest.mark.parametrize("text", ORBIT_SPECS)
-    def test_equals_scalar_scan(self, text):
-        alpha = D.AlphaSpec.parse(text)
-        psi = D.KhinchinePsi(lambda n: 1.0 / (n * math.log(n + 1) ** 1.5))
-        best, arg = math.inf, 0
-        for n in range(1, 2001):
-            v = D.nearest_int_dist(alpha, n)[0] / psi(n)
-            if v < best:
-                best, arg = v, n
-            if best == 0.0:
-                break
-        assert D.khinchine_r(alpha, psi, 2000) == (best, arg)
 
 
 def test_oracle_thread_safety():

@@ -1,6 +1,8 @@
+import gc
 import math
 import re
 import tracemalloc
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -701,6 +703,38 @@ class TestStreamedScan:
         monkeypatch.setattr(K, "_binom_row", no_rows)
         with pytest.raises(SupportOverflow, match=r"tuples would need \d+ B"):
             K.kolmogorov_distance(K.zn_slabs(base, 4096), PhiFn())
+
+    def test_product_budget_before_row(self, monkeypatch):
+        # an over-budget product is refused before its binomial n-row,
+        # which grows with n, is built
+        base = K.product_bernoulli([SQRT2])
+
+        def no_rows(n):
+            raise AssertionError(f"built the {n}-row")
+
+        monkeypatch.setattr(K, "_binom_row", no_rows)
+        monkeypatch.setattr(K, "MEMORY_BUDGET", 1 << 20)
+        with pytest.raises(SupportOverflow, match=r"tuples would need \d+ B"):
+            K.kolmogorov_distance(K.zn_slabs(base, 4096), PhiFn())
+
+    def test_mixture_releases_its_k_rows(self, monkeypatch):
+        # once the weight grid is built, the walk holds neither the n + 1
+        # k-rows nor the last composition block
+        made = []
+
+        def tracked(k, real=K._binom_row):
+            row, support = real(k)
+            made.append(weakref.ref(row))
+            return row, support
+
+        z = K.zn_slabs(K.mixture_bernoulli([0.5, 0.5], [SQRT2]), 1024)
+        monkeypatch.setattr(K, "_binom_row", tracked)
+        walk = z.slabs()
+        next(walk)
+        gc.collect()
+        assert len(made) == 1025 and all(r() is None for r in made)
+        assert "block" not in walk.gi_frame.f_locals
+        walk.close()
 
     def test_tuple_table_over_budget(self):
         base = K.product_bernoulli(

@@ -8,7 +8,6 @@ from scipy.optimize import bisect
 from cltdioph import distkit as K
 from cltdioph import edgeworth as E
 from cltdioph.dioph import AlphaSpec
-from cltdioph.errors import MomentMismatch
 
 SQRT2 = AlphaSpec.surd(0, 1, 1, 2)
 
@@ -268,43 +267,6 @@ class TestClosedFormBounds:
         vals = [E.w1_bound(float(d), E.NORMAL_ENVELOPE) for d in deltas]
         assert all(a < b for a, b in zip(vals, vals[1:]))
         assert vals[0] < 1e-6
-
-
-class TestLemma31:
-    def test_moment_mismatch(self):
-        d = K.DiscreteDist(np.array([-2.0, 2.0]), np.array([0.5, 0.5]))
-        with pytest.raises(MomentMismatch):
-            E.lemma31_bound(d, E.comparison_for("phi", d, 1), 3.0, 0.1)
-
-    def test_gaussian_tail_closed_form_vs_quadrature(self):
-        for a in (1.0, 2.0, 3.5):
-            ref = 2 * quad(lambda x: x * x * E.std_normal_pdf(x),
-                           a, np.inf)[0]
-            assert abs(E._gaussian_tail_x2(a) - ref) < 1e-12
-
-    def test_b1_zn4_summands(self):
-        base = K.bernoulli_pm(1)
-        d = K.zn_dist(base, 4)
-        G = E.comparison_for("phi", base, 4)
-        delta = K.kolmogorov_distance(d, G).delta
-        a = 3.0
-        got = E.lemma31_bound(d, G, a, delta)
-        assert got == 6.791439968819559
-        tail_int = 2 * quad(lambda x: x * x * E.std_normal_pdf(x),
-                            a, np.inf)[0]
-        xs = np.linspace(a, 60, 50001)
-        tail_sup = max(np.max(xs ** 2 * (1 - E.std_normal_cdf(xs))),
-                       np.max(xs ** 2 * E.std_normal_cdf(-xs)))
-        assert abs(got - (4 * a * a * delta + tail_int + tail_sup)) < 1e-6
-
-    def test_edgeworth_tail_cancellation(self):
-        # the odd correction integrates to zero over |x| >= a, so the
-        # x^2 tail integral matches the Gaussian one
-        p = params(0.05, n=4)
-        for a in (1.5, 3.0):
-            ref = (quad(lambda x: x * x * E.phi3_deriv(x, p), a, np.inf)[0]
-                   + quad(lambda x: x * x * E.phi3_deriv(x, p), -np.inf, -a)[0])
-            assert abs(ref - E._gaussian_tail_x2(a)) < 1e-10
 
 
 def riemann_w1(d, G, lo=-15.0, hi=15.0, points=10 ** 7):

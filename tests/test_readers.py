@@ -10,6 +10,9 @@ elsewhere that shares its name is not a read; a method is read by any
 attribute of its name.  The few members kept without a reader are listed
 with the reason.
 
+Every name a package module imports is used in that module, apart from
+the few that the benchmark rebinds there.
+
 A flag has a caller when an argument list in the benchmark or the
 command-line tests passes it after its subcommand.
 """
@@ -29,14 +32,16 @@ CALLERS = (ROOT / "bench" / "run.py", ROOT / "tests" / "test_cli.py")
 
 #: public members kept without a reader, and why
 KEPT = {
-    "lemma61_lower": "held for certified Diophantine constants in bounds",
-    "one_minus_abs_profile": "the profile 1 - |f| that those constants bound",
-    "cf_expand": "held for the continued-fraction crossover and constants",
-    "eps_profile": "held for certified Diophantine constants in bounds",
-    "khinchine_r": "held for certified Diophantine constants in bounds",
+    "cf_expand": "input of the continued-fraction crossover prediction",
     "zn_dist_exact": "exact rational oracle of the lattice builder",
-    "lemma31_bound": "held for a non-uniform bound that is certified",
     "phi3_deriv": "the density of Phi3, whose roots are its stationary points",
+}
+
+#: (module, name) imported by a package module that never uses it: the
+#: benchmark's layer tracer (bench/replay.py) rebinds these module
+#: attributes, so the name must exist there
+UNUSED_IMPORTS = {
+    ("cli", "moments"), ("cli", "zn_dist"), ("rates", "zn_dist"),
 }
 
 
@@ -159,6 +164,25 @@ def passed_flags(trees, commands):
     return pairs
 
 
+def unused_imports(tree):
+    """Names that ``tree`` imports and never loads, nor lists in
+    ``__all__``."""
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0]
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used.update(e.value for e in node.value.elts)
+    return imported - used
+
+
 def _unread_now():
     return unread(_package_trees(), [_parse(p) for p in READERS])
 
@@ -171,6 +195,24 @@ def test_every_public_member_is_read():
 def test_kept_members_have_no_reader():
     # a kept member that gained a reader, or was removed, leaves the list
     assert sorted(set(KEPT) - _unread_now()) == []
+
+
+def test_every_import_is_used():
+    unused = {(module, name) for module, tree in _package_trees().items()
+              for name in unused_imports(tree)}
+    assert unused == UNUSED_IMPORTS
+
+
+def test_unused_imports_are_found():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path\n"
+                     "import numpy as np\n"
+                     "from typing import Callable, Optional\n"
+                     "from . import a, b\n"
+                     "__all__ = ['b']\n"
+                     "def f(x: Optional[int]) -> None:\n"
+                     "    return np.zeros(x)\n")
+    assert unused_imports(tree) == {"os", "Callable", "a"}
 
 
 def test_reads_resolve_per_module():
