@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .dioph import AlphaSpec, orbit_residues
 from .errors import InsufficientPeaks
@@ -186,11 +185,83 @@ class GrowthFit:
 
 
 def _refine_peak(spec: CharSpec, center: float) -> tuple[float, float]:
-    res = minimize_scalar(lambda s: -abs(eval(spec, s)),
-                          bounds=(center - _BRACKET, center + _BRACKET),
-                          method="bounded",
-                          options={"xatol": 1e-9})
-    return float(res.x), float(-res.fun)
+    x, fx = _fminbound(lambda s: -abs(eval(spec, s)),
+                       center - _BRACKET, center + _BRACKET, 1e-9)
+    return x, -fx
+
+
+def _fminbound(func, x1: float, x2: float,
+               xatol: float) -> tuple[float, float]:
+    """(x, func(x)) at a minimum of func on [x1, x2] by Brent's bounded
+    method (Brent, 1973): golden sections and parabolic steps, at most 500
+    evaluations.  A port of scipy.optimize's _minimize_scalar_bounded,
+    the same operations in the same order, so it returns the bits of
+    ``minimize_scalar(func, bounds=(x1, x2), method="bounded",
+    options={"xatol": xatol})`` without importing scipy.optimize."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # check for a parabolic fit
+        if abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) \
+                    and p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    # numpy's sign(d) + (d == 0): -1 below 0, else 1
+                    rat = tol1 * (-1.0 if xm - xf < 0 else 1.0)
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, fx
 
 
 def _record_floor(spec: CharSpec, n_hi: int, n_lo: int = 1) -> np.ndarray:

@@ -105,7 +105,9 @@ def cmd_fit(args) -> int:
     ns, deltas = [], []
     with open(args.infile) as fh:
         reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{args.infile} has no header line")
         n_col = header.index("n")
         d_col = header.index("delta_phi")
         for row in reader:
@@ -160,10 +162,11 @@ def cmd_bounds(args) -> int:
     base = bernoulli_base(CharSpec.parse(args.base))
     records = []
     for n in _n_list(args.n):
+        # zn_slabs checks the budget before anything takes a float of n
+        z = zn_slabs(base, n)
         t_n = bounds.prop22_cutoff(args.p, 0.0, n, args.a_const)
         rep = bounds.lemma21_rhs(base, n, max(t_n, 1.0))
-        delta = kolmogorov_distance(zn_slabs(base, n),
-                                    comparison_for("phi", base, n)).delta
+        delta = kolmogorov_distance(z, comparison_for("phi", base, n)).delta
         ratio = rep.rhs_total / delta
         record = dict(asdict(rep), delta_n=delta, ratio=ratio)
         records.append(record)

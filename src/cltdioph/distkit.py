@@ -240,9 +240,16 @@ def _zn_scale(base: DiscreteDist, n: int) -> float:
 def zn_slabs(base: DiscreteDist, n: int):
     """Z_n as slabs for ``kolmogorov_distance``: a LatticeZn, which never
     holds Z_n whole, for bases built by bernoulli_base, and the one-slab
-    DiscreteDist of ``zn_dist`` for every other base."""
+    DiscreteDist of ``zn_dist`` for every other base.
+
+    The lattice's n-row (``_binom_row``) holds 2^n and C(n, k0) as exact
+    integers, n / 8 B each.  They are charged first, in integers, so that
+    an n past the budget is refused before anything takes its float,
+    which overflows for n >= 2^1024."""
     if base.spec is None:
         return zn_dist(base, n)
+    _over_budget(f"Z_n for n = {n}: the binomial n-row's integers 2^n and "
+                 "C(n, k0) would", 2 * -(-n // 8))
     return LatticeZn(base.spec, n, _zn_scale(base, n))
 
 

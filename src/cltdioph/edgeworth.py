@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from .distkit import DiscreteDist, moments
@@ -219,6 +217,11 @@ def w1_exact(d: DiscreteDist, G) -> float:
     Splits at atoms and at sign changes of F - G inside each gap so every
     quadrature panel has a single-signed integrand.
     """
+    # here, not at module level: no command needs them, and importing
+    # them would add to every command's start-up
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
     abs_tol = 1e-10  # split over the two tails and the gaps between atoms
     x = d.positions
     cum = np.concatenate(([0.0], np.asarray(d._cum, dtype=np.float64)))

@@ -1,14 +1,19 @@
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad as scipy_quad
 
 from cltdioph import bounds as B
+from cltdioph import cli
 from cltdioph import distkit as K
 from cltdioph.dioph import AlphaSpec
 from cltdioph.errors import InadmissibleT, QuadratureFailure
 
 SQRT2 = AlphaSpec.surd(0, 1, 1, 2)
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def abs_cf_grid(d, ts):
@@ -190,3 +195,80 @@ class TestProp51:
                                      comparison_for("phi", base, 64)).delta
         assert rep.rows[0].delta_n == pytest.approx(want, abs=0)
 
+
+
+def _bits(pair):
+    return [float(v).hex() for v in pair[:2]]
+
+
+def _bench_bounds_argvs(monkeypatch):
+    """The benchmark's bounds operation, once for every surd it draws."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    run = importlib.import_module("run")
+    op = next(op for op in run.workload_ops("analysis", 0)
+              if op.name == "bounds")
+    at = op.args.index("--base") + 1
+    return [op.args[:at] + (f"prod:{run.surd(d)}",) + op.args[at + 1:]
+            for d in run.SURDS]
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+class TestQuadIsQuadpack:
+    """bounds.quad returns the value and the error estimate of
+    scipy.integrate.quad to the bit."""
+
+    def test_every_lemma21_panel(self, monkeypatch, capsys):
+        argvs = _bench_bounds_argvs(monkeypatch) + [
+            # the pinned outputs of the CLI and bench-layer tests
+            ("bounds", "--base", "prod:surd:0,1,1,2", "--n", "64,256"),
+            ("bounds", "--base", "prod:surd:0,1,1,2", "--n", "64,128",
+             "--p", "1", "--a-const", "3"),
+            # a mixture, a rational step and two irrational steps
+            ("bounds", "--base", "mix:0.5:surd:0,1,1,2=0.5", "--n", "64,256"),
+            ("bounds", "--base", "prod:rat:1/3", "--n", "64,256"),
+            ("bounds", "--base", "prod:surd:0,1,1,2,surd:0,1,1,3",
+             "--n", "64,256"),
+        ]
+        own, panels = B.quad, []
+
+        def both(f, a, b, epsabs, limit):
+            got = own(f, a, b, epsabs, limit)
+            want = scipy_quad(f, a, b, epsabs=epsabs, limit=limit)
+            panels.append((_bits(got), _bits(want)))
+            return got
+
+        monkeypatch.setattr(B, "quad", both)
+        for argv in argvs:
+            assert cli.main(list(argv)) == 0, argv
+        capsys.readouterr()
+        assert len(panels) > 200
+        assert [got for got, _ in panels] == [want for _, want in panels]
+
+    @pytest.mark.parametrize("limit", [7, 50, 200])
+    @pytest.mark.parametrize("epsabs", [0.0, 1e-12, 1e-6])
+    def test_singular_and_peaked_integrands(self, monkeypatch, limit,
+                                            epsabs):
+        # 1/sqrt|x - c|, |x - c|^-0.9 and log|x - c| go through Wynn's
+        # epsilon extrapolation (dqelg); narrow peaks and sin(1/|x - c|)
+        # raise the error of a bisected interval, which dqpsrt moves down
+        # the list, and a small limit shortens the ordered part of it
+        extrapolations = []
+        qelg = B._qelg
+        monkeypatch.setattr(B, "_qelg", lambda *args: extrapolations.append(
+            args[0]) or qelg(*args))
+        fs = []
+        for c in (0.0, 0.3, 1 / 3, 0.71, 1.0):
+            fs += [lambda x, c=c: 1.0 / math.sqrt(abs(x - c)) if x != c
+                   else 0.0,
+                   lambda x, c=c: abs(x - c) ** -0.9 if x != c else 0.0,
+                   lambda x, c=c: math.log(abs(x - c)) if x != c else 0.0]
+            for w in (1e-4, 1e-2):
+                fs += [lambda x, c=c, w=w: math.exp(-((x - c) / w) ** 2),
+                       lambda x, c=c, w=w: w / ((x - c) ** 2 + w * w),
+                       lambda x, c=c, w=w: math.sin(1.0 / (abs(x - c) + w))]
+        for f in fs:
+            for a, b in ((0.0, 1.0), (-0.5, 2.0)):
+                assert _bits(B.quad(f, a, b, epsabs, limit)) == \
+                    _bits(scipy_quad(f, a, b, epsabs=epsabs, limit=limit))
+        # tables of up to limit - 1 partial sums
+        assert max(extrapolations) >= min(limit - 1, 20)

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
 from cltdioph import charfn as C
 from cltdioph import dioph as D
@@ -351,3 +352,64 @@ class TestCompositionWithDioph:
             lhs = abs(C.eval(spec, math.pi * n))
             # cos(pi n) = +/-1 exactly at integer n
             assert lhs <= math.exp(-math.pi ** 2 * v * v / 2) + 1e-10
+
+
+class TestFminbound:
+    """_fminbound returns the point and value of scipy's bounded
+    minimize_scalar to the bit."""
+
+    @staticmethod
+    def _compared(monkeypatch):
+        own, searches = C._fminbound, []
+
+        def both(func, x1, x2, xatol):
+            got = own(func, x1, x2, xatol)
+            res = minimize_scalar(func, bounds=(x1, x2), method="bounded",
+                                  options={"xatol": xatol})
+            searches.append(([float(v).hex() for v in got],
+                             [float(v).hex() for v in (res.x, res.fun)]))
+            return got
+
+        monkeypatch.setattr(C, "_fminbound", both)
+        return searches
+
+    @pytest.mark.parametrize("text, t_max, full", [
+        ("prod:surd:0,1,1,2", 3e4, False),    # the pinned cf output
+        ("prod:surd:0,1,1,2", 3e3, True),
+        ("prod:surd:0,1,1,2,surd:0,1,1,3", 3e3, True),
+        ("mix:0.5:surd:0,1,1,2=0.5", 3e3, True),
+        ("prod:cf:0;2,30,periodic:1", 3e3, True),
+        ("prod:rat:1/3", 100.0, True),        # degenerate exit
+    ])
+    def test_growth_fit_peaks(self, monkeypatch, text, t_max, full):
+        # full: a search at every candidate, none skipped by the floor
+        spec = C.CharSpec.parse(text)
+        searches = self._compared(monkeypatch)
+        if full:
+            monkeypatch.setattr(
+                C, "_record_floor",
+                lambda spec, n_hi, n_lo=1: np.zeros(n_hi - n_lo + 1))
+        _fit_or_error(spec, t_max)
+        assert searches
+        assert [got for got, _ in searches] == [want for _, want in searches]
+
+    def test_brackets_and_tolerances(self):
+        # parabolic steps, golden sections, minima at either end and flat
+        # stretches, over brackets and tolerances far from growth_fit's
+        cases = []
+        for c in (-2.0, 0.1, 0.5, 0.999, 3.0):
+            for w in (1e-3, 0.1, 2.0):
+                cases += [lambda x, c=c: (x - c) ** 2,
+                          lambda x, c=c: abs(x - c),
+                          lambda x, c=c, w=w: -math.exp(-((x - c) / w) ** 2),
+                          lambda x, w=w: math.cos(x / w),
+                          lambda x, c=c: float(x > c)]
+        for f in cases:
+            for x1, x2 in ((0.0, 1.0), (-3.0, 4.0), (0.49, 0.51)):
+                for xatol in (1e-12, 1e-9, 1e-5, 1e-2):
+                    got = C._fminbound(f, x1, x2, xatol)
+                    res = minimize_scalar(f, bounds=(x1, x2),
+                                          method="bounded",
+                                          options={"xatol": xatol})
+                    assert [v.hex() for v in got] == \
+                        [float(v).hex() for v in (res.x, res.fun)]

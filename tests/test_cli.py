@@ -150,12 +150,33 @@ class TestDelta:
         ("mix:0.5:surd:0,1,1,2=0.5", 100000000)])
     def test_large_n_over_budget_exit_at_once(self, capsys, base, n):
         # the budget is checked before any binomial row is built, and a
-        # mixture's k-rows are charged without a loop over k
+        # mixture's k-rows are charged without a loop over k; past
+        # n = 2^32 the n-row's exact integers alone are over budget
         start = time.perf_counter()
         code, _, err = run(capsys, "delta", "--base", base, "--n", str(n))
         assert time.perf_counter() - start < 2.0
         assert code == 3
-        assert re.search(r"tuples would need \d+ B", err)
+        assert re.search(rf"n-row's integers 2\^n and C\(n, k0\) would need "
+                         rf"{n // 4} B" if n > 1 << 32
+                         else r"tuples would need \d+ B", err)
+
+    @pytest.mark.parametrize("argv", [
+        ("delta", "--base", "prod:surd:0,1,1,2"),
+        ("delta", "--base", "mix:0.5:surd:0,1,1,2=0.5"),
+        ("sweep", "--base", "prod:surd:0,1,1,2", "--out"),
+        ("avg", "--grid", "4"),
+        ("bounds", "--base", "prod:surd:0,1,1,2")])
+    def test_n_past_a_double_is_over_budget(self, capsys, tmp_path, argv):
+        # 10^400 has no float; the n-row's integers are charged before
+        # anything takes one
+        if argv[-1] == "--out":
+            argv += (str(tmp_path),)
+        n = 10 ** 400
+        code, out, err = run(capsys, *argv, "--n", str(n))
+        assert code == 3 and out == ""
+        assert err == (f"resource error: Z_n for n = {n}: the binomial "
+                       f"n-row's integers 2^n and C(n, k0) would need "
+                       f"{n // 4} B, over the 1073741824 B memory budget\n")
 
     def test_collision_names_n_and_steps(self, capsys):
         # 2 sqrt2 = sqrt8: the atoms that collide are the same point, so the
@@ -229,6 +250,15 @@ class TestSweepAndFit:
 
     def test_fit_missing_file(self, capsys):
         assert run(capsys, "fit", "--in", "/nonexistent.csv")[0] == 2
+
+    @pytest.mark.parametrize("text", ["", "# config=0f76206e236c\n"])
+    def test_fit_without_header_is_a_config_error(self, capsys, tmp_path,
+                                                  text):
+        path = tmp_path / "sweep.csv"
+        path.write_text(text)
+        code, out, err = run(capsys, "fit", "--in", str(path))
+        assert code == 2 and out == ""
+        assert err == f"config error: {path} has no header line\n"
 
 
 class TestDisc:
@@ -320,6 +350,26 @@ def test_delta_does_not_import_mpmath():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("64 ")
+
+
+def test_commands_do_not_import_scipy_integrate_or_optimize():
+    # bounds.quad and charfn._fminbound stand in for them; either import
+    # would add its time to every command's start-up
+    code = ("import sys\n"
+            "from cltdioph import cli\n"
+            "for argv in (['delta', '--base', 'prod:surd:0,1,1,2', '--n', '64'],\n"
+            "             ['bounds', '--base', 'prod:surd:0,1,1,2', '--n', '64'],\n"
+            "             ['cf', '--spec', 'prod:surd:0,1,1,2', '--tmax', '3e3'],\n"
+            "             ['avg', '--n', '16', '--grid', '4']):\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('scipy.integrate', 'scipy.optimize'))))\n")
+    src = str(Path(cltdioph.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_exit_hook_registered_once():

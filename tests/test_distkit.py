@@ -717,6 +717,16 @@ class TestStreamedScan:
         with pytest.raises(SupportOverflow, match=r"tuples would need \d+ B"):
             K.kolmogorov_distance(K.zn_slabs(base, 4096), PhiFn())
 
+    def test_n_row_integers_are_charged(self):
+        # the n-row's 2^n and C(n, k0) take n / 8 B each: at n = 10^12 that
+        # is 250 GB, refused before LatticeZn takes any float of n
+        base = K.bernoulli_base(CharSpec.parse("prod:"))
+        with pytest.raises(SupportOverflow, match=(
+                r"n = 1000000000000: the binomial n-row's integers 2\^n and "
+                r"C\(n, k0\) would need 250000000000 B")):
+            K.zn_slabs(base, 10 ** 12)
+        assert K.zn_slabs(base, 1 << 32).n == 1 << 32
+
     def test_mixture_releases_its_k_rows(self, monkeypatch):
         # once the weight grid is built, the walk holds neither the n + 1
         # k-rows nor the last composition block

@@ -11,7 +11,8 @@ attribute of its name.  The few members kept without a reader are listed
 with the reason.
 
 Every name a package module imports is used in that module, apart from
-the few that the benchmark rebinds there.
+the few that the benchmark rebinds there.  No package module imports
+``scipy.integrate`` or ``scipy.optimize`` when it is imported.
 
 A flag has a caller when an argument list in the benchmark or the
 command-line tests passes it after its subcommand.
@@ -36,6 +37,10 @@ KEPT = {
     "zn_dist_exact": "exact rational oracle of the lattice builder",
     "phi3_deriv": "the density of Phi3, whose roots are its stationary points",
 }
+
+#: modules that no command needs and that take longer to import than a
+#: small command takes to run; a function may import one in its body
+HEAVY = ("scipy.integrate", "scipy.optimize")
 
 #: (module, name) imported by a package module that never uses it: the
 #: benchmark's layer tracer (bench/replay.py) rebinds these module
@@ -183,6 +188,29 @@ def unused_imports(tree):
     return imported - used
 
 
+def import_time_modules(tree):
+    """Modules that importing ``tree`` imports: those of every import
+    statement outside a function body, with each name of a ``from``
+    import also read as a submodule."""
+    found, todo = set(), list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module)
+            found.update(f"{node.module}.{a.name}" for a in node.names)
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _heavy(modules):
+    return {m for m in modules
+            if any(m == h or m.startswith(h + ".") for h in HEAVY)}
+
+
 def _unread_now():
     return unread(_package_trees(), [_parse(p) for p in READERS])
 
@@ -213,6 +241,25 @@ def test_unused_imports_are_found():
                      "def f(x: Optional[int]) -> None:\n"
                      "    return np.zeros(x)\n")
     assert unused_imports(tree) == {"os", "Callable", "a"}
+
+
+def test_no_heavy_import_at_module_level():
+    heavy = {(module, m) for module, tree in _package_trees().items()
+             for m in _heavy(import_time_modules(tree))}
+    assert not heavy, f"imported with the package: {sorted(heavy)}"
+
+
+def test_heavy_imports_are_found():
+    tree = ast.parse("import scipy.optimize as so\n"
+                     "from scipy import integrate\n"
+                     "from scipy.special import ndtr\n"
+                     "if True:\n"
+                     "    from scipy.integrate._quadpack_py import quad\n"
+                     "def f():\n"
+                     "    from scipy.optimize import brentq\n")
+    assert _heavy(import_time_modules(tree)) == {
+        "scipy.optimize", "scipy.integrate",
+        "scipy.integrate._quadpack_py", "scipy.integrate._quadpack_py.quad"}
 
 
 def test_reads_resolve_per_module():
