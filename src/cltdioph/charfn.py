@@ -70,17 +70,17 @@ def _cos_scaled(alpha: AlphaSpec, alpha_ld: np.longdouble, t: float) -> float:
         return float(mpmath.cos(a * t))
 
 
-def nearest_int_float(x: float) -> int:
-    """Closest integer to x, rounding exact halves down."""
-    n = math.floor(x + 0.5)
-    if x + 0.5 == n and n > x:
-        n -= 1
-    return n
+def nearest_int_float(x):
+    """Closest integer to x, as a float, rounding exact halves down;
+    elementwise."""
+    x = np.asarray(x, dtype=np.float64)
+    n = np.floor(x + 0.5)
+    return n - ((x + 0.5 == n) & (n > x))
 
 
-def frac_dist(x: float) -> float:
-    """Distance from x to the nearest integer."""
-    return abs(x - nearest_int_float(x))
+def frac_dist(x):
+    """Distance from x to the nearest integer, elementwise."""
+    return np.abs(x - nearest_int_float(x))
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,8 @@ def eval(spec: CharSpec, t: float) -> float:  # noqa: A001 (domain name)
 
 
 class Ineq61Result(NamedTuple):
-    """Margins of the three cosine inequalities at x (>= 0 means holds)."""
+    """Margins of the three cosine inequalities at x (>= 0 means holds),
+    elementwise."""
 
     exp_margin: float     # exp(-pi^2 ||x||^2 / 2) - |cos(pi x)|
     lower_margin: float   # (1 - |cos(pi x)|) - 4 ||x||^2
@@ -162,15 +163,17 @@ class Ineq61Result(NamedTuple):
     passed: bool
 
 
-def ineq61_check(x: float) -> Ineq61Result:
+def ineq61_check(x) -> Ineq61Result:
+    """The cosine inequalities at each x of an array, in one pass."""
+    x = np.asarray(x, dtype=np.float64)
     d = frac_dist(x)
-    c = abs(math.cos(math.pi * x))
+    c = np.abs(np.cos(math.pi * x))
     one_minus = 1.0 - c
-    m1 = math.exp(-math.pi ** 2 * d * d / 2.0) - c
+    m1 = np.exp(-math.pi ** 2 * d * d / 2.0) - c
     m2 = one_minus - 4.0 * d * d
     m3 = (math.pi ** 2 / 2.0) * d * d - one_minus
     return Ineq61Result(m1, m2, m3,
-                        min(m1, m2, m3) >= -1e-12)
+                        np.minimum(np.minimum(m1, m2), m3) >= -1e-12)
 
 
 @dataclass(frozen=True)

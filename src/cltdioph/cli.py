@@ -19,6 +19,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+# numpy loads numpy.random on first use; here that is part of the import
+from numpy.random import default_rng
 
 from . import __version__, bounds, charfn, rates
 from .charfn import CharSpec
@@ -151,8 +153,8 @@ def cmd_cf(args) -> int:
     q_text = "not_identifiable" if fit.q_hat is None else _fmt(fit.q_hat)
     print(f"p_hat {_fmt(fit.p_hat)} q_hat {q_text} "
           f"residual {_fmt(fit.residual)} peaks {len(fit.sample)}")
-    xs = np.random.default_rng(0).uniform(-10, 10, 10 ** 4)
-    failures = sum(not charfn.ineq61_check(float(x)).passed for x in xs)
+    xs = default_rng(0).uniform(-10, 10, 10 ** 4)
+    failures = int(np.count_nonzero(~charfn.ineq61_check(xs).passed))
     print(f"cosine inequality spot suite: {failures} violations "
           f"out of {xs.size}")
     return EXIT_OK if failures == 0 else EXIT_INTERNAL
@@ -229,14 +231,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once, with the import: argparse's first build loads gettext's
+# locale machinery, which would otherwise count against the command
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     # at exit, freeze the heap rather than collect it object by object;
     # every file written here is closed by then, so no finalizer is lost
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:

@@ -93,6 +93,11 @@ class DiscreteDist:
     def __len__(self) -> int:
         return self.positions.size
 
+    @property
+    def heaviest(self) -> float:
+        """The weight of the heaviest atom."""
+        return float(np.max(self.weights))
+
     def slabs(self):
         """The distribution as the one slab ``kolmogorov_distance`` scans."""
         yield self.positions, self.weights
@@ -306,6 +311,11 @@ class LatticeZn:
     n-row, and so every shorter row, is whole.
     """
 
+    #: a lower bound on the weight of the heaviest atom, set by ``slabs``
+    #: before its first slab: the weight of the cell at the peak of every
+    #: row for a product, the largest cell of the weight grid for a mixture
+    heaviest: float = 0.0
+
     def __init__(self, spec: CharSpec, n: int, scale: float):
         self.spec, self.n = spec, n
         m = len(spec.alphas)
@@ -404,6 +414,8 @@ class LatticeZn:
         self._budget("tuples", tuples, need)
         if product:
             row, gap = _binom_row(self.n)[0], 2
+            # the walk multiplies a cell's m + 1 row factors left to right
+            self.heaviest = math.prod([float(row.max())] * (m + 1))
         else:
             # mixture weights over a common denominator: normalized
             # exactly, although the floats p_j need not add up to exactly 1
@@ -422,6 +434,7 @@ class LatticeZn:
                     cells.append(slice(e - edge, e + edge + 1, 2))
                 grid[tuple(cells)] += block
             grid = grid.ravel()
+            self.heaviest = float(grid.max())
             # the walk needs the grid alone
             del rows, block
         coef = self.fold @ self.vals
@@ -627,8 +640,24 @@ def kolmogorov_distance(z, G) -> KolmogorovResult:
     F*(x-) - F(x-).  Hence |F*(x) - G(x)| and |F(x) - G(x)| differ by at
     most tau at every x, and so do their sups: the reported delta is
     within tau of the exact Delta_n = sup_x |F*(x) - G(x)|.
+
+    G is evaluated only at the atoms whose deviation could reach the sup,
+    when it has ``enclose(x)``, which gives (lo, hi) with
+    lo <= G(x) <= hi.  Let F_k = F(x_k) and F'_k = F(x_k-) <= F_k as
+    computed.  Both computed deviations |F_k - G| and |F'_k - G| are at
+    most b_k = max(F_k - lo, hi - F'_k) as computed, since rounding is
+    monotone.  At the heaviest atom F jumps by its weight and G is
+    continuous, so one of its two deviations is at least half the weight:
+    the largest deviation at an atom, D, is at least the floor, half of
+    ``z.heaviest`` (a lower bound on that weight) shaved for the rounding
+    of F.  So the threshold max(running maximum, floor) never exceeds D.
+    An atom with b_k below it has both deviations below D, so it can
+    neither attain D nor come first among the atoms that do; skipping it
+    leaves (delta, argmax, side) as they are.  A G without ``enclose`` is
+    evaluated at every atom.
     """
     stationary = list(G.stationary_points())
+    enclose = G.enclose if hasattr(G, "enclose") else None
     f_at = np.zeros(len(stationary))
     right = left = (-np.inf, 0.0)
     carry = mass = np.float128(0.0)
@@ -641,12 +670,24 @@ def kolmogorov_distance(z, G) -> KolmogorovResult:
         np.cumsum(run, out=run)
         carry = run[-1]
         cum = run.astype(np.float64)  # cum[0] is F just left of x[0]
-        gx = np.asarray(G(x), dtype=np.float64)
-        right = _first_max(np.abs(cum[1:] - gx), x, right)  # F(x_k) vs G
-        left = _first_max(np.abs(cum[:-1] - gx), x, left)   # F(x_k-) vs G
         if stationary:
             i = np.searchsorted(x, stationary, side="right")
             f_at = np.where(i > 0, cum[i], f_at)
+        at, before = cum[1:], cum[:-1]  # F(x_k) and F(x_k-)
+        if enclose is not None:
+            lo, hi = enclose(x)
+            # a LatticeZn knows its heaviest atom once its first slab is out
+            floor = z.heaviest / 2 * (1 - 2.0 ** -40) - 2.0 ** -50
+            # b_k, in place: a slab may hold millions of atoms
+            bound = np.maximum(np.subtract(at, lo, out=lo),
+                               np.subtract(hi, before, out=hi), out=lo)
+            keep = np.flatnonzero(bound >= max(right[0], left[0], floor))
+            if keep.size == 0:
+                continue
+            x, at, before = x[keep], at[keep], before[keep]
+        gx = np.asarray(G(x), dtype=np.float64)
+        right = _first_max(np.abs(at - gx), x, right)
+        left = _first_max(np.abs(before - gx), x, left)
     total = float(mass)
     if abs(total - 1.0) > _MASS_TOL:
         raise ValueError(f"weights sum to {total}, not 1")

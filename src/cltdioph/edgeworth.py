@@ -15,22 +15,92 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from .distkit import DiscreteDist, moments
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
+#: Cephes ``ndtr`` (Moshier, *Methods and Programs for Mathematical
+#: Functions*, 1989) as scipy.special compiles it.  With s = x / sqrt 2 and
+#: z = |s|, the erf branch (z < 1) is s T(z^2) / U(z^2), the erfc branch
+#: exp(-z^2) P(z) / Q(z) for z < 8 and exp(-z^2) R(z) / S(z) beyond.
+#: _NDTR_COEFS[k, 0, b] and [k, 1, b] are the k-th coefficients, highest
+#: first, of branch b's numerator and denominator, padded with leading
+#: zeros to one length: 0 v + c = c, and the leading 1 of the monic Q, S
+#: and U is exact, so each Horner step rounds as Cephes' polevl and p1evl
+_NDTR_COEFS = np.zeros((9, 2, 3))
+for _b, (_num, _den) in enumerate((
+        ((9.60497373987051638749E0, 9.00260197203842689217E1,
+          2.23200534594684319226E3, 7.00332514112805075473E3,
+          5.55923013010394962768E4),
+         (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2,
+          4.59432382970980127987E3, 2.26290000613890934246E4,
+          4.92673942608635921086E4)),
+        ((2.46196981473530512524E-10, 5.64189564831068821977E-1,
+          7.46321056442269912687E0, 4.86371970985681366614E1,
+          1.96520832956077098242E2, 5.26445194995477358631E2,
+          9.34528527171957607540E2, 1.02755188689515710272E3,
+          5.57535335369399327526E2),
+         (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1,
+          3.54937778887819891062E2, 9.75708501743205489753E2,
+          1.82390916687909736289E3, 2.24633760818710981792E3,
+          1.65666309194161350182E3, 5.57535340817727675546E2)),
+        ((5.64189583547755073984E-1, 1.27536670759978104416E0,
+          5.01905042251180477414E0, 6.16021097993053585195E0,
+          7.40974269950448939160E0, 2.97886665372100240670E0),
+         (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0,
+          1.20489539808096656605E1, 1.70814450747565897222E1,
+          9.60896809063285878198E0, 3.36907645100081516050E0)))):
+    _NDTR_COEFS[9 - len(_num):, 0, _b] = _num
+    _NDTR_COEFS[9 - len(_den):, 1, _b] = _den
+del _b, _num, _den
+
+#: erfc(z) is 0 once -z^2 < -MAXLOG (Cephes' underflow cut, |x| > 37.68)
+_MAXLOG = 7.09782712893383996843E2
+
+
 def std_normal_cdf(x):
-    """Standard normal CDF, elementwise, by scipy's ``ndtr``; a scalar
-    gives a numpy float64."""
-    return ndtr(np.asarray(x, dtype=np.float64))
+    """Standard normal CDF, elementwise; a scalar gives a numpy float64.
+
+    A numpy port of Cephes ``ndtr`` that returns the bits of
+    ``scipy.special.ndtr``: the same branches, coefficients and operation
+    order.  exp(-z^2) is taken in complex128, whose numpy loop calls the C
+    library's exp; numpy's own float64 exp is a SIMD kernel that differs
+    from it in the last bit on some arguments."""
+    x = np.asarray(x, dtype=np.float64)
+    s = x * math.sqrt(0.5)
+    # z^2 passes MAXLOG at z = 26.65, so a z clamped to 27 is still cut,
+    # and inf stays out of the polynomials; NaN passes through
+    z = np.minimum(np.abs(s), 27.0)
+    zz = z * z
+    erf = z < 1.0
+    branch = (z >= 8.0) + (~erf).astype(np.intp)
+    v = np.where(erf, zz, z)
+    acc = np.take(_NDTR_COEFS[0], branch, axis=1)
+    for k in range(1, 9):
+        acc *= v
+        acc += np.take(_NDTR_COEFS[k], branch, axis=1)
+    e = -zz
+    scale = np.where(erf, s, np.exp(e.astype(np.complex128)).real)
+    y = np.where(e < -_MAXLOG, 0.0, scale * acc[0] / acc[1])
+    half = 0.5 * y
+    out = np.where(erf, 0.5 + half, np.where(s > 0.0, 1.0 - half, half))
+    return out[()]
 
 
 def std_normal_pdf(x):
     x = np.asarray(x, dtype=np.float64)
     return np.exp(-np.square(x) / 2.0) / SQRT_TWO_PI
+
+
+#: Phi on the grid k / 1024, |k| <= 10240, for
+#: ``EdgeworthComparison.enclose``.  Linear interpolation on it is within
+#: h^2 / 8 max|Phi''| = 2^-23 phi(1) < 2.9e-8 of Phi, and so are its end
+#: values beyond [-10, 10], where Phi is within 7.7e-24 of 0 or 1
+_PHI_GRID = np.arange(-10240, 10241) / 1024.0
+_PHI_TABLE = std_normal_cdf(_PHI_GRID)
+_ENCLOSE_PAD = 2.0 ** -24
 
 
 @dataclass(frozen=True)
@@ -91,7 +161,12 @@ def phi3(x, p: EdgeworthParams):
     if a == 0.0:
         return std_normal_cdf(x)
     x = np.asarray(x, dtype=np.float64)
-    return std_normal_cdf(x) - a * (np.square(x) - 1.0) * std_normal_pdf(x)
+    return std_normal_cdf(x) - _phi3_term(x, a)
+
+
+def _phi3_term(x: np.ndarray, a: float) -> np.ndarray:
+    """a (x^2 - 1) phi(x), the correction that Phi3 subtracts."""
+    return a * (np.square(x) - 1.0) * std_normal_pdf(x)
 
 
 def phi3_deriv(x, p: EdgeworthParams):
@@ -165,6 +240,19 @@ class EdgeworthComparison:
     def __call__(self, x):
         return phi3(x, self.params)
 
+    def enclose(self, x):
+        """(lo, hi) with lo <= self(x) <= hi elementwise, at a fraction
+        of the cost of self(x): Phi interpolated in a table, less the
+        correction term that self(x) subtracts, widened on each side by
+        2^-24, over twice the table's error."""
+        x = np.asarray(x, dtype=np.float64)
+        lo = np.interp(x, _PHI_GRID, _PHI_TABLE)
+        if self.params.a != 0.0:
+            lo -= _phi3_term(x, self.params.a)
+        hi = lo + _ENCLOSE_PAD
+        lo -= _ENCLOSE_PAD
+        return lo, hi
+
     def stationary_points(self):
         return phi3_stationary_points(self.params)
 
@@ -215,7 +303,8 @@ def w1_exact(d: DiscreteDist, G) -> float:
     """int |F(x) - G(x)| dx for the step CDF F of d and continuous G.
 
     Splits at atoms and at sign changes of F - G inside each gap so every
-    quadrature panel has a single-signed integrand.
+    quadrature panel has a single-signed integrand.  Needs scipy, which
+    the package does not otherwise depend on.
     """
     # here, not at module level: no command needs them, and importing
     # them would add to every command's start-up

@@ -166,6 +166,25 @@ class TestIneq61:
             assert c <= math.exp(-math.pi ** 2 * d * d / 2) + 1e-12
             assert 4 * d * d <= 1 - c + 1e-12 <= math.pi ** 2 / 2 * d * d + 2e-12
 
+    def test_one_pass_equals_the_scalar_loop(self):
+        # the cosine and the exponential go through numpy here and through
+        # the C library in the loop, so margins may differ by an ulp or two
+        xs = np.random.default_rng(0).uniform(-10, 10, 10 ** 4)
+        xs[:6] = [0.0, 0.5, -0.5, 2.5, -2.5, 7.0]
+        got = C.ineq61_check(xs)
+        for i, x in enumerate(xs.tolist()):
+            n = math.floor(x + 0.5)
+            if x + 0.5 == n and n > x:
+                n -= 1
+            d = abs(x - n)
+            c = abs(math.cos(math.pi * x))
+            want = (math.exp(-math.pi ** 2 * d * d / 2.0) - c,
+                    (1.0 - c) - 4.0 * d * d,
+                    (math.pi ** 2 / 2.0) * d * d - (1.0 - c))
+            assert got.passed[i] == (min(want) >= -1e-12)
+            for g, w in zip(got[:3], want):
+                assert abs(g[i] - w) <= 1e-15
+
 
 class TestNearestInt:
     def test_half_rounds_down(self):

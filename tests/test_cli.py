@@ -352,24 +352,46 @@ def test_delta_does_not_import_mpmath():
     assert proc.stdout.startswith("64 ")
 
 
-def test_commands_do_not_import_scipy_integrate_or_optimize():
-    # bounds.quad and charfn._fminbound stand in for them; either import
-    # would add its time to every command's start-up
+def test_commands_do_not_import_scipy(tmp_path):
+    # the package ports what it used of scipy (ndtr, QUADPACK's QAGS and
+    # the bounded Brent search); importing any of scipy would add its
+    # time to every command's start-up
+    sweep = tmp_path / "sweep"
     code = ("import sys\n"
             "from cltdioph import cli\n"
-            "for argv in (['delta', '--base', 'prod:surd:0,1,1,2', '--n', '64'],\n"
-            "             ['bounds', '--base', 'prod:surd:0,1,1,2', '--n', '64'],\n"
+            "for argv in (['delta', '--base', 'prod:surd:0,1,1,2', '--n', '64',\n"
+            "              '--target', 'phi3'],\n"
+            "             ['delta', '--base', 'mix:0.5:surd:0,1,1,3=0.5',\n"
+            "              '--n', '32'],\n"
+            "             ['sweep', '--base', 'prod:surd:0,1,1,2',\n"
+            f"              '--n', '8,16,32,64,128', '--out', {str(sweep)!r}],\n"
+            f"             ['fit', '--in', {str(sweep / 'sweep.csv')!r}],\n"
+            "             ['avg', '--n', '16', '--grid', '4'],\n"
+            "             ['disc', '--alpha', 'surd:0,1,1,2', '--n', '16,256'],\n"
             "             ['cf', '--spec', 'prod:surd:0,1,1,2', '--tmax', '3e3'],\n"
-            "             ['avg', '--n', '16', '--grid', '4']):\n"
+            "             ['bounds', '--base', 'prod:surd:0,1,1,2', '--n', '64']):\n"
             "    assert cli.main(argv) == 0, argv\n"
             "print(sorted(m for m in sys.modules\n"
-            "             if m.startswith(('scipy.integrate', 'scipy.optimize'))))\n")
+            "             if m == 'scipy' or m.startswith('scipy.')))\n")
     src = str(Path(cltdioph.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_main_twice_in_one_interpreter(capsys):
+    # the parser is built once, with the import; a run, or a refused
+    # command line, leaves nothing behind for the next run to see
+    argvs = [["delta", "--base", "prod:surd:0,1,1,2", "--n", "64",
+              "--target", "phi3"],
+             ["delta", "--base", "prod:surd:0,1,1,2"],
+             ["disc", "--alpha", "surd:0,1,1,3", "--n", "16,32"],
+             ["delta", "--base", "prod:surd:0,1,1,3", "--n", "16"]]
+    runs = [run(capsys, *argv) for argv in argvs + argvs]
+    assert runs[:4] == runs[4:]
+    assert [code for code, _, _ in runs[:4]] == [0, 2, 0, 0]
 
 
 def test_exit_hook_registered_once():

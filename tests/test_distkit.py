@@ -751,3 +751,110 @@ class TestStreamedScan:
             [AlphaSpec.surd(0, 1, 1, d) for d in (2, 3, 5, 7)])
         with pytest.raises(SupportOverflow, match=r"tuples would need \d+ B"):
             K.kolmogorov_distance(K.zn_slabs(base, 4096), PhiFn())
+
+
+class Bare:
+    """A comparison function G without ``enclose``: the scan evaluates
+    it at every atom."""
+
+    def __init__(self, G):
+        self.G = G
+        self.points = 0
+
+    def __call__(self, x):
+        self.points += np.size(x)
+        return self.G(x)
+
+    def stationary_points(self):
+        return self.G.stationary_points()
+
+
+class Enclosed(Bare):
+    """The same G with its ``enclose``, counting the points G sees."""
+
+    def enclose(self, x):
+        return self.G.enclose(x)
+
+
+#: skewed bases with mean 0, for a Phi3 with a != 0; they go through
+#: convolution, as one slab
+SKEWED = (K.DiscreteDist(np.array([-1.0, 2.0]), np.array([2 / 3, 1 / 3])),
+          K.DiscreteDist(np.array([-3.0, 1.0]), np.array([0.25, 0.75])))
+
+
+class TestPrunedScan:
+    """Evaluating G only where an atom's deviation can reach the sup
+    returns the bits of evaluating it at every atom."""
+
+    STEP = st.one_of(
+        st.builds("surd:{},{},{},{}".format, st.integers(-2, 2),
+                  st.integers(-3, 3).filter(bool), st.integers(1, 5),
+                  st.sampled_from([2, 3, 5, 6, 7])),
+        st.builds("rat:{}/{}".format, st.integers(-5, 5).filter(bool),
+                  st.integers(1, 7)),
+        st.builds("cf:0;{},periodic:{}".format, st.integers(1, 9),
+                  st.integers(1, 9)))
+
+    @staticmethod
+    def both(z, G):
+        """The scan with and without ``enclose``, or None for both if the
+        walk refuses a collision."""
+        return [_or_collision(lambda: K.kolmogorov_distance(z, g))
+                for g in (Enclosed(G), Bare(G))]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["prod", "mix"]),
+           st.lists(STEP, min_size=1, max_size=2), st.integers(1, 256),
+           st.sampled_from(["phi", "phi3"]),
+           st.sampled_from([1, 1 << 12, K.SLAB_BYTES]))
+    def test_grammar_bases(self, form, steps, n, target, slab_bytes):
+        if form == "prod":
+            text = "prod:" + ",".join(steps)
+            n = min(n, (256, 40)[len(steps) - 1])
+        else:
+            share = 1 / (len(steps) + 1)
+            text = f"mix:{share}:" + ",".join(f"{s}={share}" for s in steps)
+            n = min(n, (96, 16)[len(steps) - 1])
+        base = _or_collision(lambda: K.bernoulli_base(CharSpec.parse(text)))
+        if base is None:
+            return
+        G = comparison_for(target, base, n)
+        with mock.patch.object(K, "SLAB_BYTES", slab_bytes):
+            pruned, full = self.both(K.zn_slabs(base, n), G)
+        # repr tells -0.0 from 0.0, and round-trips every other float
+        assert repr(pruned) == repr(full)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(SKEWED), st.integers(1, 200),
+           st.sampled_from(["phi", "phi3"]))
+    def test_skewed_base(self, base, n, target):
+        G = comparison_for(target, base, n)
+        assert target == "phi" or G.params.a != 0.0
+        pruned, full = self.both(K.zn_slabs(base, n), G)
+        assert repr(pruned) == repr(full)
+
+    def test_midpoint_interpolant_keeps_the_heaviest_atom(self):
+        # G through the midpoint of every jump: every deviation is the
+        # floor, half the heaviest weight, so no atom may be left out
+        class Midpoints:
+            def __call__(self, x):
+                return np.interp(x, [-1.0, 1.0], [0.25, 0.75])
+
+            def enclose(self, x):
+                g = self(x)
+                return g, g.copy()
+
+            def stationary_points(self):
+                return []
+
+        res = K.kolmogorov_distance(K.bernoulli_pm(1), Midpoints())
+        assert res == (0.25, -1.0, "right", 0.0)
+
+    def test_G_sees_few_atoms(self):
+        base = K.product_bernoulli([SQRT2])
+        n = 4096
+        G = Enclosed(comparison_for("phi3", base, n))
+        want = K.kolmogorov_distance(K.zn_slabs(base, n), Bare(G.G))
+        assert K.kolmogorov_distance(K.zn_slabs(base, n), G) == want
+        atoms = sum(x.size for x, *_ in K.zn_slabs(base, n).slabs())
+        assert atoms > 3 * 10 ** 5 and G.points < atoms // 100

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import bisect
+from scipy.special import ndtr
 
 from cltdioph import distkit as K
 from cltdioph import edgeworth as E
@@ -35,6 +36,78 @@ class TestNormal:
         xs = np.linspace(-5, 5, 11)
         assert np.allclose(E.std_normal_cdf(xs),
                            [E.std_normal_cdf(float(x)) for x in xs])
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestCephesPort:
+    """std_normal_cdf returns the bits of scipy.special.ndtr."""
+
+    @staticmethod
+    def edges() -> np.ndarray:
+        """Both sides of every branch point and cut, and the specials."""
+        r2 = math.sqrt(2.0)
+        # s = x / sqrt 2 crosses 1 (erf / erfc), 8 (P/Q / R/S) and the
+        # underflow cut z^2 = MAXLOG; exp(-z^2) is subnormal just inside it
+        pivots = [r2, 8.0 * r2, math.sqrt(2.0 * E._MAXLOG), 27.0 * r2]
+        pts = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, 38.5, 40.0, 1e300,
+               5e-324, 2.2250738585072014e-308]
+        for c in pivots:
+            lo = hi = c
+            for _ in range(40):
+                lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)
+                pts += [lo, hi]
+        pts += list(np.linspace(37.6, 37.7, 20001))
+        pts = np.array(pts)
+        return np.concatenate([pts, -pts])
+
+    def test_bits_on_every_branch_and_edge(self):
+        xs = self.edges()
+        got = E.std_normal_cdf(xs)
+        assert got.dtype == np.float64 and got.shape == xs.shape
+        assert np.array_equal(_bits(got), _bits(ndtr(xs)))
+        # subnormal results, from a subnormal exp(-z^2), are among them
+        assert np.any((got > 0.0) & (got < 2.2250738585072014e-308))
+
+    def test_bits_on_random_points(self):
+        rng = np.random.default_rng(2)
+        xs = np.concatenate([rng.uniform(-40.0, 40.0, 200_000),
+                             rng.uniform(-3.0, 3.0, 100_000),
+                             rng.normal(0.0, 1e-3, 1000)])
+        assert np.array_equal(_bits(E.std_normal_cdf(xs)), _bits(ndtr(xs)))
+
+    def test_shapes_and_types(self):
+        xs = np.random.default_rng(3).uniform(-12.0, 12.0, (40, 25))
+        got = E.std_normal_cdf(xs)
+        assert got.shape == (40, 25)
+        assert np.array_equal(_bits(got), _bits(ndtr(xs)))
+        for x in (0.3, -1.7, 3, np.float64(-9.5), np.array(2.0)):
+            y = E.std_normal_cdf(x)
+            assert type(y) is np.float64
+            assert _bits(y) == _bits(ndtr(x))
+        got = E.std_normal_cdf([0.1, -8.0])
+        assert isinstance(got, np.ndarray) and got.shape == (2,)
+        assert np.array_equal(_bits(got), _bits(ndtr([0.1, -8.0])))
+
+
+class TestEnclose:
+    """EdgeworthComparison.enclose gives lo <= G(x) <= hi."""
+
+    @pytest.mark.parametrize("a", [0.0, 0.05, -0.05])
+    def test_brackets_G(self, a):
+        G = E.EdgeworthComparison(params(a))
+        rng = np.random.default_rng(4)
+        xs = np.concatenate([rng.uniform(-12.0, 12.0, 10 ** 6 - 6000),
+                             rng.uniform(-40.0, 40.0, 4000),
+                             np.linspace(-10.5, -9.5, 1000),
+                             np.linspace(9.5, 10.5, 1000)])
+        gx = G(xs)
+        lo, hi = G.enclose(xs)
+        assert np.all(lo <= gx) and np.all(gx <= hi)
+        # tight enough to leave out nearly every atom of a large Z_n
+        assert np.max(hi - lo) < 1.3e-7
 
 
 class TestParams:

@@ -12,7 +12,7 @@ with the reason.
 
 Every name a package module imports is used in that module, apart from
 the few that the benchmark rebinds there.  No package module imports
-``scipy.integrate`` or ``scipy.optimize`` when it is imported.
+any of ``scipy`` when it is imported.
 
 A flag has a caller when an argument list in the benchmark or the
 command-line tests passes it after its subcommand.
@@ -38,9 +38,9 @@ KEPT = {
     "phi3_deriv": "the density of Phi3, whose roots are its stationary points",
 }
 
-#: modules that no command needs and that take longer to import than a
+#: packages that no command needs and that take longer to import than a
 #: small command takes to run; a function may import one in its body
-HEAVY = ("scipy.integrate", "scipy.optimize")
+HEAVY = ("scipy",)
 
 #: (module, name) imported by a package module that never uses it: the
 #: benchmark's layer tracer (bench/replay.py) rebinds these module
@@ -251,15 +251,17 @@ def test_no_heavy_import_at_module_level():
 
 def test_heavy_imports_are_found():
     tree = ast.parse("import scipy.optimize as so\n"
+                     "import scipyx\n"
                      "from scipy import integrate\n"
                      "from scipy.special import ndtr\n"
                      "if True:\n"
                      "    from scipy.integrate._quadpack_py import quad\n"
                      "def f():\n"
-                     "    from scipy.optimize import brentq\n")
+                     "    from scipy.stats import norm\n")
     assert _heavy(import_time_modules(tree)) == {
-        "scipy.optimize", "scipy.integrate",
-        "scipy.integrate._quadpack_py", "scipy.integrate._quadpack_py.quad"}
+        "scipy", "scipy.optimize", "scipy.integrate", "scipy.special",
+        "scipy.special.ndtr", "scipy.integrate._quadpack_py",
+        "scipy.integrate._quadpack_py.quad"}
 
 
 def test_reads_resolve_per_module():
